@@ -23,7 +23,7 @@ from repro.network.nic import Nic
 from repro.network.packet import Message, Packet, RdmaOp
 from repro.network.router import Router
 from repro.routing.modes import RoutingMode
-from repro.routing.ugal import BatchUgalSelector, UgalSelector
+from repro.routing.ugal import UgalSelector
 from repro.sim.engine import Simulator, make_simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
@@ -36,7 +36,7 @@ class FlitLinkSampler(ProbeSampler):
     """Fixed-interval link/NIC probe for the flit backend (all engines).
 
     Polled via the simulator's ``probe_hook`` slot, so it works identically
-    under the reference, calendar and batch engines.  It only *reads* link
+    under the reference and calendar engines.  It only *reads* link
     state — through :meth:`Link.occupancy_view`, which never settles
     credits — and never schedules events, keeping traced and untraced
     event streams (and payloads) byte-identical.
@@ -123,21 +123,6 @@ class Network(NetworkModel):
         self.streams = streams or RandomStreams(self.config.seed)
         self.topology = DragonflyTopology(self.config.topology)
 
-        # The batch engine swaps the *network plane*, not the scheduler:
-        # links become BatchLinks running the fused handlers, and the
-        # selector gains the fused probe + vectorized candidate scorer.
-        # Semantics (and therefore results) are identical per the parity
-        # contract in repro.network.batch_core.
-        self._batch = getattr(self.sim, "engine_kind", None) == "batch"
-        if self._batch:
-            from repro.network.batch_core import BatchLink
-
-            self._link_cls = BatchLink
-            selector_cls = BatchUgalSelector
-        else:
-            self._link_cls = Link
-            selector_cls = UgalSelector
-
         self.routers: List[Router] = [
             Router(rid) for rid in range(self.topology.num_routers)
         ]
@@ -150,7 +135,7 @@ class Network(NetworkModel):
         self._build_fabric()
         self._build_hosts()
 
-        self.selector = selector_cls(
+        self.selector = UgalSelector(
             self.topology,
             self.config.routing,
             self.streams.stream("routing"),
@@ -193,7 +178,7 @@ class Network(NetworkModel):
         for link_id in self.topology.all_links():
             kind = link_id.kind
             latency = self.topology.link_latency(kind)
-            link = self._link_cls(
+            link = Link(
                 sim=self.sim,
                 name=link_id.label(topo_cfg),
                 latency=latency,
@@ -203,8 +188,6 @@ class Network(NetworkModel):
                 deliver=self.routers[link_id.dst].packet_arrived,
                 track_occupancy=track_occupancy,
             )
-            if self._batch:
-                link.bind_router(self.routers[link_id.dst])
             self._links[(link_id.src, link_id.dst)] = link
             self.routers[link_id.src].attach_output(link_id.dst, link)
 
@@ -216,7 +199,7 @@ class Network(NetworkModel):
             router = self.routers[router_id]
             nic = Nic(node_id, router_id, self.sim, nic_cfg, self)
             # NIC -> router (injection) link; stalls here feed the NIC counter.
-            injection = self._link_cls(
+            injection = Link(
                 sim=self.sim,
                 name=f"nic{node_id}->r{router_id}",
                 latency=topo_cfg.host_link_latency,
@@ -235,7 +218,7 @@ class Network(NetworkModel):
             )
             injection.on_transmit = self.assign_path
             # router -> NIC (ejection) link.
-            ejection = self._link_cls(
+            ejection = Link(
                 sim=self.sim,
                 name=f"r{router_id}->nic{node_id}",
                 latency=topo_cfg.host_link_latency,
@@ -247,9 +230,6 @@ class Network(NetworkModel):
                 deliver=nic.packet_ejected,
                 track_occupancy=False,
             )
-            if self._batch:
-                injection.bind_router(router)
-                ejection.bind_nic(nic)
             nic.injection_link = injection
             router.attach_ejection(node_id, ejection)
             self.nics.append(nic)

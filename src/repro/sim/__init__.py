@@ -1,27 +1,24 @@
 """Discrete-event simulation engines used by the network model.
 
-Three interchangeable engines implement the same (time, scheduling-order)
+Two interchangeable engines implement the same (time, scheduling-order)
 execution contract with callback-style events:
 
-* ``reference`` — the original binary-heap queue keyed by (time, sequence
-  number), kept as the parity baseline;
 * ``calendar`` — per-cycle FIFO buckets with a heap of distinct times,
-  the default (a flit simulation lands whole groups of callbacks on the
-  same cycle, so this does one heap operation per *time* instead of per
-  event);
-* ``batch`` — the calendar scheduler plus a fused network fast path
-  (NumPy-precomputed serialization tables, one-frame-per-hop link/router/
-  NIC handlers, vectorized UGAL candidate scoring); requires NumPy and
-  falls back to ``calendar`` with a warning when it is missing.
+  the default and only production engine (a flit simulation lands whole
+  groups of callbacks on the same cycle, so this does one heap operation
+  per *time* instead of per event);
+* ``reference`` — the original binary-heap queue keyed by (time, sequence
+  number), kept as the executable spec that ``calendar`` is proven
+  event-for-event identical to.
 
-Select with ``REPRO_SIM_ENGINE=reference|calendar|batch`` or
-:func:`make_simulator`.  Everything in the network model (link traversal,
-credit returns, NIC injection) is expressed as scheduled callbacks, which
-keeps the per-event overhead low — important because a single
-large-message experiment schedules hundreds of thousands of events.
+Select with ``REPRO_SIM_ENGINE=calendar|reference`` or
+:func:`make_simulator`; an unknown value raises :class:`SimEngineError`.
+Everything in the network model (link traversal, credit returns, NIC
+injection) is expressed as scheduled callbacks, which keeps the per-event
+overhead low — important because a single large-message experiment
+schedules hundreds of thousands of events.
 """
 
-from repro.sim.batch import BatchSimulator
 from repro.sim.calendar import CalendarSimulator
 from repro.sim.engine import (
     SIM_ENGINE_ENV_VAR,
@@ -30,7 +27,6 @@ from repro.sim.engine import (
     SimEngineError,
     Simulator,
     default_engine_kind,
-    effective_engine_kind,
     make_simulator,
 )
 from repro.sim.rng import RandomStreams
@@ -39,12 +35,10 @@ __all__ = [
     "Event",
     "Simulator",
     "CalendarSimulator",
-    "BatchSimulator",
     "RandomStreams",
     "SIM_ENGINE_ENV_VAR",
     "SIM_ENGINE_KINDS",
     "SimEngineError",
     "default_engine_kind",
-    "effective_engine_kind",
     "make_simulator",
 ]

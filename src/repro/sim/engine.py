@@ -25,12 +25,11 @@ from repro.telemetry.core import TELEMETRY
 #: Environment variable selecting the event-engine implementation.
 SIM_ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
-#: Known engine kinds, in preference order.  ``reference`` is the original
-#: binary-heap engine kept for parity testing; ``calendar`` is the bucketed
-#: calendar-queue engine that the flit backend uses by default; ``batch``
-#: is the calendar scheduler plus the fused/NumPy network fast path (see
-#: :mod:`repro.sim.batch`), requiring NumPy.
-SIM_ENGINE_KINDS = ("calendar", "reference", "batch")
+#: Known engine kinds, in preference order.  ``calendar`` is the bucketed
+#: calendar-queue engine that the flit backend uses by default;
+#: ``reference`` is the original binary-heap engine, kept as the executable
+#: spec that ``calendar`` is parity-tested against.
+SIM_ENGINE_KINDS = ("calendar", "reference")
 
 
 class SimulationError(RuntimeError):
@@ -324,39 +323,12 @@ def default_engine_kind() -> str:
     return "calendar"
 
 
-def _numpy_available() -> bool:
-    """True when NumPy can be imported (the batch engine requires it)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def effective_engine_kind(kind: Optional[str] = None) -> str:
-    """Resolve ``kind`` (default: env/built-in) to the engine actually used.
-
-    The only adjustment is the NumPy gate: a ``batch`` request degrades to
-    ``calendar`` when NumPy is unavailable, exactly as
-    :func:`make_simulator` will.  Cost models use this so planning reflects
-    the engine a run will really execute on.
-    """
-    if kind is None:
-        kind = default_engine_kind()
-    if kind == "batch" and not _numpy_available():
-        return "calendar"
-    return kind
-
-
 def make_simulator(kind: Optional[str] = None) -> Simulator:
     """Build a simulator of the requested (or default) engine kind.
 
-    All engines honour the exact same (time, scheduling-order) execution
+    Both engines honour the exact same (time, scheduling-order) execution
     contract, so they are interchangeable; ``reference`` is kept as the
     parity baseline for the equivalence suite in ``tests/test_flit_engine.py``.
-    The ``batch`` engine requires NumPy and falls back to ``calendar`` with
-    a structured-log warning when it is missing (same idiom as the
-    ``REPRO_FLOW_SOLVER`` vectorized/reference fallback).
     """
     if kind is None:
         kind = default_engine_kind()
@@ -366,26 +338,6 @@ def make_simulator(kind: Optional[str] = None) -> Simulator:
         from repro.sim.calendar import CalendarSimulator
 
         return CalendarSimulator()
-    if kind == "batch":
-        if not _numpy_available():
-            import logging
-
-            from repro.telemetry.log import get_logger, log_event
-
-            log_event(
-                get_logger("sim.engine"),
-                "sim.engine.fallback",
-                level=logging.WARNING,
-                requested="batch",
-                selected="calendar",
-                reason="numpy-unavailable",
-            )
-            from repro.sim.calendar import CalendarSimulator
-
-            return CalendarSimulator()
-        from repro.sim.batch import BatchSimulator
-
-        return BatchSimulator()
     raise SimEngineError(
         f"unknown simulation engine {kind!r}; known engines: "
         f"{', '.join(SIM_ENGINE_KINDS)}"

@@ -1,22 +1,20 @@
 """Flit-engine suite: selection, calendar-queue semantics, and equivalence.
 
-Covers the ISSUE-7 and ISSUE-8 checklists: engine selection via
-``REPRO_SIM_ENGINE`` (including the batch engine's NumPy gate and
-fallback), unit tests of the calendar-queue scheduler's
-ordering/cancel/resume semantics, a randomized three-engine equivalence
-suite (seeded scenarios across routing modes and noise levels, asserting
-identical event counts, counter snapshots and message timelines — the flit
-analogue of ``tests/test_flow_solver.py``), byte-identical campaign
-results across engines, the batch selector's vectorized wide-decision
-path, and the ``queue_depth`` gauge on ``Simulator.run`` telemetry spans.
+Covers engine selection via ``REPRO_SIM_ENGINE`` (unknown kinds, including
+the retired ``batch`` engine, fail loudly), unit tests of the
+calendar-queue scheduler's ordering/cancel/resume semantics, a randomized
+calendar-vs-reference equivalence suite (seeded scenarios across routing
+modes and noise levels, asserting identical event counts, counter
+snapshots and message timelines — the flit analogue of
+``tests/test_flow_solver.py``), byte-identical campaign results across
+engines, equivalence on wide UGAL candidate sets, and the ``queue_depth``
+gauge on ``Simulator.run`` telemetry spans.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
-import logging
 import random
 
 import pytest
@@ -36,17 +34,9 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     default_engine_kind,
-    effective_engine_kind,
     make_simulator,
 )
 from repro.telemetry import capture, disable, enable
-from repro.telemetry.log import reset_logging
-
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
-
-#: Engines whose construction is unconditional here (batch needs NumPy; it
-#: falls back to calendar without it, which would fail engine_kind asserts).
-ENGINES = SIM_ENGINE_KINDS if HAS_NUMPY else ("calendar", "reference")
 
 
 # -- engine selection ---------------------------------------------------------------
@@ -54,7 +44,7 @@ ENGINES = SIM_ENGINE_KINDS if HAS_NUMPY else ("calendar", "reference")
 
 class TestEngineSelection:
     def test_known_kinds(self):
-        assert set(SIM_ENGINE_KINDS) == {"calendar", "reference", "batch"}
+        assert SIM_ENGINE_KINDS == ("calendar", "reference")
 
     def test_default_is_calendar(self, monkeypatch):
         monkeypatch.delenv(SIM_ENGINE_ENV_VAR, raising=False)
@@ -71,17 +61,23 @@ class TestEngineSelection:
         assert default_engine_kind() == "calendar"
 
     def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "warp-drive")
-        with pytest.raises(SimEngineError, match="warp-drive"):
-            default_engine_kind()
+        # "batch" is a retired engine: a stale setting must fail loudly
+        # rather than quietly run on the default engine.
+        for kind in ("warp-drive", "batch"):
+            monkeypatch.setenv(SIM_ENGINE_ENV_VAR, kind)
+            with pytest.raises(SimEngineError, match=kind):
+                default_engine_kind()
+            with pytest.raises(SimEngineError, match=kind):
+                make_simulator()
 
     def test_explicit_kind_beats_env(self, monkeypatch):
         monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
         assert make_simulator("reference").engine_kind == "reference"
 
     def test_unknown_explicit_kind_raises(self):
-        with pytest.raises(SimEngineError):
-            make_simulator("splay-tree")
+        for kind in ("splay-tree", "batch"):
+            with pytest.raises(SimEngineError, match=kind):
+                make_simulator(kind)
 
     def test_network_uses_selected_engine(self, monkeypatch):
         monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
@@ -89,54 +85,11 @@ class TestEngineSelection:
         monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
         assert isinstance(Network(SimulationConfig.tiny()).sim, CalendarSimulator)
 
-    def test_batch_engine_selected(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.sim.batch import BatchSimulator
-
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "batch")
-        assert type(make_simulator()) is BatchSimulator
-        network = Network(SimulationConfig.tiny())
-        assert network.sim.engine_kind == "batch"
-        # The batch network plane is wired in: fused links and selector.
-        from repro.network.batch_core import BatchLink
-        from repro.routing.ugal import BatchUgalSelector
-
-        assert all(type(link) is BatchLink for link in network.fabric_links())
-        assert type(network.selector) is BatchUgalSelector
-
     def test_explicit_sim_overrides_env(self, monkeypatch):
         """``Network(sim=...)`` wins over REPRO_SIM_ENGINE."""
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "batch")
+        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
         network = Network(SimulationConfig.tiny(), sim=make_simulator("reference"))
         assert network.sim.engine_kind == "reference"
-        from repro.network.batch_core import BatchLink
-
-        assert not any(type(link) is BatchLink for link in network.fabric_links())
-
-    def test_batch_without_numpy_falls_back(self, monkeypatch, capsys):
-        """No NumPy: batch degrades to calendar with a structured warning.
-
-        Same idiom as the REPRO_FLOW_SOLVER vectorized/reference fallback —
-        the run proceeds on the equivalent engine, and the downgrade is
-        visible in the structured log rather than silent.
-        """
-        monkeypatch.setattr("repro.sim.engine._numpy_available", lambda: False)
-        reset_logging()
-        try:
-            sim = make_simulator("batch")
-        finally:
-            err = capsys.readouterr().err
-            reset_logging()
-        assert sim.engine_kind == "calendar"
-        assert "sim.engine.fallback" in err
-        assert "numpy-unavailable" in err
-        assert effective_engine_kind("batch") == "calendar"
-
-    def test_effective_engine_kind_resolves_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert effective_engine_kind() == "reference"
-        if HAS_NUMPY:
-            assert effective_engine_kind("batch") == "batch"
 
 
 # -- calendar-queue scheduler semantics ---------------------------------------------
@@ -410,19 +363,17 @@ def _run_scenario(engine: str, seed: int) -> dict:
 
 
 class TestEngineEquivalence:
-    """Event-for-event parity between all engines on real traffic.
+    """Event-for-event parity between the engines on real traffic.
 
     24 seeded scenarios spanning routing modes, message sizes, send
-    schedules and noise levels; everything observable must match exactly,
-    pairwise across every engine.  The batch engine is held to *more* than
-    its contract (observable-state equality): its fused plane is a
-    statement-for-statement transcription, so even the event counts match.
+    schedules and noise levels; everything observable — event counts
+    included — must match the reference engine exactly.
     """
 
     @pytest.mark.parametrize("seed", range(24))
     def test_equivalent_scenario(self, seed):
         results = {}
-        for engine in ENGINES:
+        for engine in SIM_ENGINE_KINDS:
             result = _run_scenario(engine, seed)
             assert result.pop("engine_kind") == engine
             results[engine] = result
@@ -447,8 +398,6 @@ class TestRunSpecStoreEquivalence:
         return payload
 
     def test_identical_store_payloads(self, monkeypatch):
-        # Deliberately SIM_ENGINE_KINDS, not ENGINES: without NumPy the
-        # batch run falls back to calendar, whose bytes must still match.
         blobs = {
             engine: json.dumps(
                 self._payload(monkeypatch, engine), sort_keys=True
@@ -462,7 +411,11 @@ class TestRunSpecStoreEquivalence:
 
 
 class TestVectorizedWideDecisions:
-    """Wide candidate sets route through the NumPy scoring entry point."""
+    """Wide (4+4) candidate sets decide identically on every engine.
+
+    The default 2+2 candidate setup is what the rest of the suite covers;
+    this pins the wider configured sets, which no other test reaches.
+    """
 
     def _run_wide(self, engine: str) -> dict:
         config = SimulationConfig.small(seed=77).with_routing(
@@ -493,22 +446,8 @@ class TestVectorizedWideDecisions:
             "decisions": (selector.decisions, selector.minimal_decisions),
         }
 
-    def test_wide_decisions_are_vectorized_and_equivalent(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.routing.ugal import VECTORIZE_MIN_CANDIDATES, BatchUgalSelector
-
-        assert 4 + 4 >= VECTORIZE_MIN_CANDIDATES
-        calls = {"n": 0}
-        original = BatchUgalSelector._select_vectorized
-
-        def spy(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(BatchUgalSelector, "_select_vectorized", spy)
-        batch = self._run_wide("batch")
-        assert calls["n"] > 0, "batch selector never took the vectorized path"
-        assert batch == self._run_wide("reference")
+    def test_wide_decisions_are_vectorized_and_equivalent(self):
+        assert self._run_wide("calendar") == self._run_wide("reference")
 
 
 # -- telemetry: queue_depth on sim.run spans ----------------------------------------

@@ -1,7 +1,7 @@
 """Network flight recorder: fast path, engine neutrality, analytics.
 
 Covers the ISSUE-10 checklist: the off-by-default zero-cost path, payload
-byte-identity with probes enabled across all three flit engines and both
+byte-identity with probes enabled across both flit engines and both
 flow solver engines, flit/flow series schema compatibility, ring-buffer
 decimation bounds, wire and store round-trips of probe sidecars, the
 phantom-congestion decision audit, and the heatmap/CSV/Chrome-counter
@@ -43,7 +43,7 @@ from repro.telemetry.probes import (
     probe_capture,
 )
 
-SIM_ENGINES = ("calendar", "reference", "batch")
+SIM_ENGINES = ("calendar", "reference")
 FLOW_SOLVERS = ("reference", "vectorized")
 
 

@@ -20,7 +20,7 @@ Measurements on the ``bench_backends`` scenario (noisy inter-group
    with a notice; any *other* rebuild failure raises loudly instead of
    silently writing ``null``.
 
-Timing protocol (the one ``bench_telemetry_overhead.py`` uses): process
+Timing protocol (the one ``bench_instrument_overhead.py`` uses): process
 CPU time (``time.process_time``) of the measured region only, ``REPEATS``
 interleaved rounds whose contender order flips every round (so drift
 cannot systematically land on one contender), and the minimum per

@@ -25,12 +25,15 @@ type              direction  meaning
 ``shutdown``      c -> w     no more work; the worker exits its serve loop
 ================  =========  =================================================
 
-When telemetry is enabled (``REPRO_TELEMETRY``), ``result`` frames carry an
-optional ``telemetry`` dict (the cell's span/phase snapshot, merged by the
-coordinator into the store's index entry) and ``shard_done`` frames an
-optional worker-process aggregate under the same key.  Both fields are
-additive: receivers that predate them ignore unknown keys, so mixed-version
-fleets interoperate.
+Instrumentation (``REPRO_INSTRUMENT=spans,probes``, either token or both)
+adds optional keys.  With spans on, ``result`` frames carry a ``telemetry``
+dict (the cell's span/phase snapshot, merged by the coordinator into the
+store's index entry) and ``shard_done`` frames an optional worker-process
+aggregate under the same key; with probes on, ``result`` frames carry a
+``probes`` dict (the cell's recorder snapshot, saved as the store's
+``probes/<hash>.json`` sidecar).  All of these fields are additive:
+receivers that predate them ignore unknown keys, so mixed-version fleets
+interoperate.
 
 Run specs travel as their wire form (:meth:`repro.campaign.plan.
 RunSpec.to_wire`), so a worker needs nothing but the scenario registry to

@@ -246,37 +246,18 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--reports", action="store_true", help="print each run's report table"
     )
     run.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable telemetry for this campaign: per-cell phase/span "
-        "snapshots land in the store next to elapsed_s (export with "
-        "'repro campaign trace', aggregate with 'status --timings'); "
-        "propagates to pool and distributed workers via REPRO_TELEMETRY",
-    )
-    run.add_argument(
-        "--probes",
-        action="store_true",
-        help="enable the network flight recorder: per-link-class occupancy "
-        "time series and a seeded sample of UGAL routing decisions land as "
-        "probes/<hash>.json sidecars in the store (analyze with 'repro "
-        "campaign probe'); result payloads stay byte-identical; propagates "
-        "to pool and distributed workers via REPRO_PROBES",
-    )
-    run.add_argument(
-        "--probe-interval",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="probe sampling interval in sim cycles (default: 256; "
-        "requires --probes)",
-    )
-    run.add_argument(
-        "--probe-decision-rate",
-        type=float,
-        default=None,
-        metavar="F",
-        help="fraction of UGAL decisions to audit, in [0, 1] "
-        "(default: 0.02; requires --probes)",
+        "--instrument",
+        type=_instrument_planes,
+        default="",
+        metavar="PLANES",
+        help="enable instrumentation planes for this campaign: 'spans' "
+        "(per-cell phase/span snapshots next to elapsed_s; export with "
+        "'repro campaign trace', aggregate with 'status --timings'), "
+        "'probes' (per-link-class occupancy time series and a seeded sample "
+        "of UGAL routing decisions as probes/<hash>.json sidecars; analyze "
+        "with 'repro campaign probe') or 'spans,probes'; result payloads "
+        "stay byte-identical; propagates to pool and distributed workers "
+        "via REPRO_INSTRUMENT",
     )
 
     lst = sub.add_parser("list", help="list registered scenarios")
@@ -338,7 +319,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="aggregate stored telemetry into a per-phase latency table "
         "(p50/p95 per scenario x backend x phase; needs runs traced with "
-        "'campaign run --trace')",
+        "'campaign run --instrument spans')",
     )
     status.add_argument(
         "--interference",
@@ -471,6 +452,16 @@ def _parse_bind(text: str) -> Tuple[str, int]:
     return host, port
 
 
+def _instrument_planes(text: str) -> str:
+    """Parse ``--instrument``: a comma-separated subset of spans,probes."""
+    from repro.telemetry import parse_planes
+
+    try:
+        return ",".join(parse_planes(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _worker_main(args, parser) -> int:
     """The ``repro campaign worker`` loop (runs until coordinator shutdown)."""
     from repro.campaign.dist import serve_socket, serve_stdio
@@ -591,7 +582,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         if not spans:
             print(
                 f"no telemetry in {store.root} — run campaigns with "
-                "'repro campaign run --trace' first",
+                "'repro campaign run --instrument spans' first",
                 file=sys.stderr,
             )
             return 2
@@ -609,7 +600,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         if not frames:
             print(
                 f"no probe sidecars in {store.root} — run campaigns with "
-                "'repro campaign run --probes' first",
+                "'repro campaign run --instrument probes' first",
                 file=sys.stderr,
             )
             return 2
@@ -663,7 +654,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
             if not rows:
                 print(
                     f"no telemetry in {store.root} — run campaigns with "
-                    "'repro campaign run --trace' first",
+                    "'repro campaign run --instrument spans' first",
                     file=sys.stderr,
                 )
                 return 2
@@ -762,41 +753,14 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
     audit_fraction = args.audit_fraction
     if audit_fraction is None:
         audit_fraction = 0.1 if args.backend == "auto" else 0.0
-    if args.probe_interval is not None and args.probe_interval < 1:
-        parser.error("--probe-interval must be >= 1")
-    if args.probe_decision_rate is not None and not (
-        0.0 <= args.probe_decision_rate <= 1.0
-    ):
-        parser.error("--probe-decision-rate must be within [0, 1]")
-    if (
-        args.probe_interval is not None or args.probe_decision_rate is not None
-    ) and not args.probes:
-        parser.error("--probe-interval/--probe-decision-rate require --probes")
-    if args.trace:
+    if args.instrument:
         # Enable in this process (mutates the singleton pre-fork, so pool
-        # workers inherit it) and in the environment (spawned dist workers
-        # re-import with REPRO_TELEMETRY set).
-        from repro.telemetry import TELEMETRY_ENV_VAR, enable as telemetry_enable
+        # workers inherit it) and in the environment (spawn-started
+        # workers re-import with REPRO_INSTRUMENT set).
+        from repro.telemetry import INSTRUMENT_ENV_VAR, active_planes, enable
 
-        os.environ[TELEMETRY_ENV_VAR] = "1"
-        telemetry_enable()
-    if args.probes:
-        # Same pre-fork + environment propagation story as --trace.
-        from repro.telemetry import (
-            PROBE_DECISION_RATE_ENV_VAR,
-            PROBE_INTERVAL_ENV_VAR,
-            PROBES_ENV_VAR,
-            enable_probes,
-        )
-
-        os.environ[PROBES_ENV_VAR] = "1"
-        if args.probe_interval is not None:
-            os.environ[PROBE_INTERVAL_ENV_VAR] = str(args.probe_interval)
-        if args.probe_decision_rate is not None:
-            os.environ[PROBE_DECISION_RATE_ENV_VAR] = str(args.probe_decision_rate)
-        enable_probes(
-            interval=args.probe_interval, decision_rate=args.probe_decision_rate
-        )
+        enable(args.instrument)
+        os.environ[INSTRUMENT_ENV_VAR] = active_planes()
     store = None if args.no_store else ArtifactStore(args.store)
     # Audits alone need no router — they sample the plan at execute time.
     router = None
@@ -887,9 +851,6 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 bind_host=host,
                 bind_port=port,
                 lease_timeout_s=args.lease_timeout,
-                probes=args.probes,
-                probe_interval=args.probe_interval,
-                probe_decision_rate=args.probe_decision_rate,
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -934,9 +895,9 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"artifacts: {store.root}")
         if args.csv is not None:
             print(f"wrote {store.export_csv(args.csv)}")
-        if args.trace:
-            from repro.telemetry import TELEMETRY, snapshot_of
+        from repro.telemetry import TELEMETRY, snapshot_of
 
+        if TELEMETRY.enabled:
             # Campaign-level phases (plan, the run loop's own spans) become a
             # session payload next to any dist-session telemetry.
             snapshot = snapshot_of(TELEMETRY.tracer, TELEMETRY.metrics)
@@ -950,7 +911,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"'repro campaign trace --store {store.root}' exports the "
                 "Chrome trace, 'repro campaign status --timings' aggregates"
             )
-        if args.probes:
+        if TELEMETRY.recorder is not None:
             probed = sum(
                 1 for entry in store.index().values() if "probes" in entry
             )

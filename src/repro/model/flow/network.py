@@ -52,7 +52,7 @@ from repro.routing.modes import RoutingMode
 from repro.sim.engine import Event, Simulator, make_simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
-from repro.telemetry.probes import PROBES, ProbeRecorder, ProbeSampler
+from repro.telemetry.probes import ProbeRecorder, ProbeSampler
 from repro.topology.dragonfly import DragonflyTopology, LinkKind
 from repro.topology.geometry import router_of_node
 from repro.topology.paths import Path, PathSampler
@@ -326,8 +326,9 @@ class FlowNetwork(NetworkModel):
         # Probe hook (see repro.telemetry.probes): polled by the event
         # engine at time advances, schedules nothing, so enabling probes
         # cannot change the resolved flows or any payload.
-        if PROBES.enabled and PROBES.recorder is not None:
-            self.sim.probe_hook = FlowLinkSampler(PROBES.recorder, self)
+        recorder = TELEMETRY.recorder
+        if recorder is not None:
+            self.sim.probe_hook = FlowLinkSampler(recorder, self)
 
     # -- link capacities ---------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.routing.ugal import UgalSelector
 from repro.sim.engine import Simulator, make_simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
-from repro.telemetry.probes import PROBES, ProbeRecorder, ProbeSampler
+from repro.telemetry.probes import ProbeRecorder, ProbeSampler
 from repro.topology.dragonfly import DragonflyTopology, LinkKind
 from repro.topology.geometry import router_of_node
 
@@ -153,8 +153,9 @@ class Network(NetworkModel):
         # Install the link probe last so it sees the fully wired system.
         # When probes are off the hook stays None and the engines pay one
         # ``is not None`` check per event (reference) or bucket (calendar).
-        if PROBES.enabled and PROBES.recorder is not None:
-            self.sim.probe_hook = FlitLinkSampler(PROBES.recorder, self)
+        recorder = TELEMETRY.recorder
+        if recorder is not None:
+            self.sim.probe_hook = FlitLinkSampler(recorder, self)
 
     # -- construction --------------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.config import RoutingConfig
 from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
-from repro.telemetry.probes import PROBES
+from repro.telemetry.core import TELEMETRY
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.paths import PathSampler, hop_count_minimal
 
@@ -146,12 +146,11 @@ class UgalSelector:
             return self._record(PathDecision(path, False, self._path_score(path), 1))
         if not mode.is_adaptive:
             raise ValueError(f"unsupported routing mode {mode}")
-        if PROBES.enabled:
-            recorder = PROBES.recorder
-            if recorder is not None and recorder.want_decision():
-                return self._record(
-                    self._select_audited(src_router, dst_router, mode, recorder)
-                )
+        recorder = TELEMETRY.recorder
+        if recorder is not None and recorder.want_decision():
+            return self._record(
+                self._select_audited(src_router, dst_router, mode, recorder)
+            )
         return self._record(self._select_adaptive(src_router, dst_router, mode))
 
     def _bias_for(self, mode: RoutingMode, src_router: int, dst_router: int) -> float:

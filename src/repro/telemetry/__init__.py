@@ -1,11 +1,14 @@
-"""Zero-dependency observability: tracing, metrics, structured logging.
+"""Zero-dependency observability: one instrumentation plane, logging, export.
 
-Three pieces, all stdlib-only:
+Four pieces, all stdlib-only:
 
-* :mod:`repro.telemetry.core` — the :data:`TELEMETRY` singleton with a
-  span :class:`Tracer` and :class:`Metrics` registry; no-op unless
-  enabled (``enable()`` or ``REPRO_TELEMETRY=1``) so instrumented hot
-  paths cost one attribute lookup when off.
+* :mod:`repro.telemetry.core` — the :data:`TELEMETRY` singleton carrying
+  both planes: spans (a span :class:`Tracer` and :class:`Metrics`
+  registry) and probes (a :class:`ProbeRecorder`).  Each is off unless
+  enabled (``enable("spans,probes")`` or ``REPRO_INSTRUMENT=spans,probes``)
+  so instrumented hot paths cost one check when off.
+* :mod:`repro.telemetry.probes` — the probes plane's data structures:
+  bounded link time series and the routing-decision audit.
 * :mod:`repro.telemetry.log` — structured stderr logging
   (``REPRO_LOG=json|text``) used by the distributed runtime instead of
   stray prints.
@@ -14,18 +17,21 @@ Three pieces, all stdlib-only:
 """
 
 from repro.telemetry.core import (
+    INSTRUMENT_ENV_VAR,
     MAX_EVENTS,
     NULL_SPAN,
+    PLANES,
     TELEMETRY,
-    TELEMETRY_ENV_VAR,
     Metrics,
     Span,
     Telemetry,
     Tracer,
+    active_planes,
     capture,
     disable,
     enable,
-    env_enabled,
+    env_planes,
+    parse_planes,
     snapshot_of,
     timed,
 )
@@ -36,55 +42,32 @@ from repro.telemetry.log import (
     log_event,
     reset_logging,
 )
-from repro.telemetry.probes import (
-    PROBE_DECISION_RATE_ENV_VAR,
-    PROBE_INTERVAL_ENV_VAR,
-    PROBES,
-    PROBES_ENV_VAR,
-    ProbeRecorder,
-    ProbeSampler,
-    Probes,
-    RingSeries,
-    disable_probes,
-    enable_probes,
-    env_decision_rate,
-    env_probe_interval,
-    env_probes_enabled,
-    probe_capture,
-)
+from repro.telemetry.probes import ProbeRecorder, ProbeSampler, RingSeries
 
 __all__ = [
+    "INSTRUMENT_ENV_VAR",
     "LOG_FORMAT_ENV_VAR",
     "LOG_LEVEL_ENV_VAR",
     "MAX_EVENTS",
     "NULL_SPAN",
-    "PROBES",
-    "PROBES_ENV_VAR",
-    "PROBE_DECISION_RATE_ENV_VAR",
-    "PROBE_INTERVAL_ENV_VAR",
+    "PLANES",
     "TELEMETRY",
-    "TELEMETRY_ENV_VAR",
     "Metrics",
     "ProbeRecorder",
     "ProbeSampler",
-    "Probes",
     "RingSeries",
     "Span",
     "Telemetry",
     "Tracer",
+    "active_planes",
     "capture",
     "disable",
-    "disable_probes",
     "enable",
-    "enable_probes",
-    "env_decision_rate",
-    "env_enabled",
-    "env_probe_interval",
-    "env_probes_enabled",
+    "env_planes",
     "get_logger",
     "log_event",
+    "parse_planes",
     "reset_logging",
-    "probe_capture",
     "snapshot_of",
     "timed",
 ]

@@ -1,12 +1,21 @@
-"""Zero-dependency tracing and metrics core.
+"""Zero-dependency instrumentation plane: spans, metrics and network probes.
 
 The whole subsystem funnels through one module-level singleton,
-:data:`TELEMETRY`.  The object is *mutated* by :func:`enable` /
-:func:`disable` — never rebound — so any module may cache a reference at
-import time and still observe the current state.  When disabled (the
-default) every hot path pays exactly one attribute lookup
-(``TELEMETRY.enabled``) and allocates nothing: ``span()`` hands back a
-shared no-op singleton and the metrics registry swallows updates.
+:data:`TELEMETRY`, which carries two planes:
+
+* **spans** — a span :class:`Tracer` plus a :class:`Metrics` registry;
+* **probes** — a :class:`~repro.telemetry.probes.ProbeRecorder` (the
+  network flight recorder), or ``None`` while probes are off.
+
+The object is *mutated* by :func:`enable` / :func:`disable` — never
+rebound — so any module may cache a reference at import time and still
+observe the current state.  When a plane is off (the default) every hot
+path pays exactly one check and allocates nothing: ``TELEMETRY.enabled``
+for spans (``span()`` hands back a shared no-op singleton and the metrics
+registry swallows updates), ``TELEMETRY.recorder is not None`` for probes.
+One switch, ``REPRO_INSTRUMENT=spans,probes`` (either token or both),
+enables planes at import time; :class:`capture` scopes fresh collectors of
+every enabled plane to one unit of work.
 
 Spans nest lexically via ``with`` blocks and are recorded as Chrome
 ``trace_event``-shaped dicts (name/category/relative start/duration/args)
@@ -24,7 +33,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from repro.telemetry.probes import ProbeRecorder
 
 #: Maximum span events retained per capture; aggregates keep counting after.
 MAX_EVENTS = 512
@@ -32,17 +43,51 @@ MAX_EVENTS = 512
 #: Maximum samples retained per histogram reservoir.
 MAX_HISTOGRAM_SAMPLES = 256
 
-#: Environment variable that force-enables telemetry at import time — this
-#: is how enablement propagates into pool workers and dist worker
-#: subprocesses, which re-import this module rather than sharing state.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
+#: The one switch: a comma-separated subset of :data:`PLANES` enabled at
+#: import time — this is how enablement propagates into pool workers and
+#: dist worker subprocesses, which re-import this module rather than
+#: sharing state.
+INSTRUMENT_ENV_VAR = "REPRO_INSTRUMENT"
+
+#: The instrumentation planes, in canonical order.
+PLANES = ("spans", "probes")
+
+#: The per-plane switches ``REPRO_INSTRUMENT`` replaced.  A leftover one
+#: raises instead of silently running uninstrumented.
+RETIRED_ENV_VARS = (
+    "REPRO_TELEMETRY",
+    "REPRO_PROBES",
+    "REPRO_PROBE_INTERVAL",
+    "REPRO_PROBE_DECISION_RATE",
+)
 
 
-def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
-    """True when the environment requests telemetry (``REPRO_TELEMETRY``)."""
+def parse_planes(value: str) -> Tuple[str, ...]:
+    """The planes a ``spans,probes``-style list names, in canonical order.
+
+    Tokens are comma separated and case-insensitive; an empty list names
+    no plane and an unknown token raises ``ValueError``.
+    """
+    tokens = {token.strip().lower() for token in value.split(",")} - {""}
+    unknown = sorted(tokens.difference(PLANES))
+    if unknown:
+        raise ValueError(
+            f"unknown instrumentation plane(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(PLANES)})"
+        )
+    return tuple(plane for plane in PLANES if plane in tokens)
+
+
+def env_planes(environ: Optional[Mapping[str, str]] = None) -> str:
+    """The planes ``REPRO_INSTRUMENT`` requests, normalized ("" for none)."""
     env = os.environ if environ is None else environ
-    value = env.get(TELEMETRY_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
+    retired = [name for name in RETIRED_ENV_VARS if env.get(name)]
+    if retired:
+        raise ValueError(
+            f"retired instrumentation switch(es) set: {', '.join(retired)}; "
+            f"use {INSTRUMENT_ENV_VAR}=spans, =probes or =spans,probes instead"
+        )
+    return ",".join(parse_planes(env.get(INSTRUMENT_ENV_VAR, "")))
 
 
 class Span:
@@ -198,67 +243,100 @@ class Metrics:
 
 
 class Telemetry:
-    """The mutable singleton: fields swap, identity never changes."""
+    """The mutable singleton: fields swap, identity never changes.
 
-    __slots__ = ("enabled", "tracer", "metrics")
+    ``enabled``/``tracer``/``metrics`` are the spans plane; ``recorder`` is
+    the probes plane (``None`` while probes are off).
+    """
+
+    __slots__ = ("enabled", "tracer", "metrics", "recorder")
 
     def __init__(self) -> None:
         self.enabled = False
         self.tracer: Any = NULL_TRACER
         self.metrics: Any = NULL_METRICS
+        self.recorder: Optional[ProbeRecorder] = None
 
 
 TELEMETRY = Telemetry()
 
 
-def enable() -> None:
-    """Turn telemetry on with a fresh tracer/metrics pair."""
-    TELEMETRY.tracer = Tracer()
-    TELEMETRY.metrics = Metrics()
-    TELEMETRY.enabled = True
+def enable(planes: str = "spans") -> None:
+    """Turn the named planes on, each with fresh collectors.
+
+    ``planes`` is a ``spans,probes``-style list; planes it does not name
+    keep their current state.
+    """
+    chosen = parse_planes(planes)
+    if "spans" in chosen:
+        TELEMETRY.tracer = Tracer()
+        TELEMETRY.metrics = Metrics()
+        TELEMETRY.enabled = True
+    if "probes" in chosen:
+        TELEMETRY.recorder = ProbeRecorder()
 
 
-def disable() -> None:
-    """Turn telemetry off; hot paths fall back to the no-op singletons."""
-    TELEMETRY.enabled = False
-    TELEMETRY.tracer = NULL_TRACER
-    TELEMETRY.metrics = NULL_METRICS
+def disable(planes: str = "spans") -> None:
+    """Turn the named planes off; their hot paths fall back to no-ops."""
+    chosen = parse_planes(planes)
+    if "spans" in chosen:
+        TELEMETRY.enabled = False
+        TELEMETRY.tracer = NULL_TRACER
+        TELEMETRY.metrics = NULL_METRICS
+    if "probes" in chosen:
+        TELEMETRY.recorder = None
+
+
+def active_planes() -> str:
+    """The enabled planes as a ``REPRO_INSTRUMENT`` value ("" for none)."""
+    on = (TELEMETRY.enabled, TELEMETRY.recorder is not None)
+    return ",".join(plane for plane, active in zip(PLANES, on) if active)
 
 
 class capture:
-    """Context manager scoping a fresh tracer/metrics to one unit of work.
+    """Context manager scoping fresh collectors to one unit of work.
 
-    Only meaningful while telemetry is enabled; when disabled it is a
-    no-op and :meth:`snapshot` returns ``None``.  On exit the previous
-    tracer/metrics are restored, so captures nest (an audit twin inside a
-    cell gets its own snapshot without clobbering the cell's).
+    Every enabled plane gets its own: a tracer/metrics pair for spans, an
+    empty recorder (same decision rate as the current one) for probes.
+    On exit the previous collectors are restored, so captures nest (an
+    audit twin inside a cell gets its own snapshots without clobbering the
+    cell's).  A plane that is off stays off and snapshots as ``None``.
     """
 
-    __slots__ = ("_prev_tracer", "_prev_metrics", "_tracer", "_metrics",
-                 "_active")
+    __slots__ = ("_prev_tracer", "_prev_metrics", "_prev_recorder",
+                 "_tracer", "_metrics", "_recorder")
 
     def __enter__(self) -> "capture":
-        self._active = TELEMETRY.enabled
-        if self._active:
+        self._tracer = self._metrics = self._recorder = None
+        if TELEMETRY.enabled:
             self._prev_tracer = TELEMETRY.tracer
             self._prev_metrics = TELEMETRY.metrics
-            self._tracer = Tracer()
-            self._metrics = Metrics()
-            TELEMETRY.tracer = self._tracer
-            TELEMETRY.metrics = self._metrics
+            self._tracer = TELEMETRY.tracer = Tracer()
+            self._metrics = TELEMETRY.metrics = Metrics()
+        if TELEMETRY.recorder is not None:
+            self._prev_recorder = TELEMETRY.recorder
+            self._recorder = TELEMETRY.recorder = TELEMETRY.recorder.fresh()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._active:
+        if self._tracer is not None:
             TELEMETRY.tracer = self._prev_tracer
             TELEMETRY.metrics = self._prev_metrics
+        if self._recorder is not None:
+            TELEMETRY.recorder = self._prev_recorder
         return False
 
     def snapshot(self) -> Optional[Dict[str, Any]]:
-        """Compact dict of everything captured, or None when disabled."""
-        if not self._active:
+        """The spans plane's store ``telemetry`` dict, or None when off."""
+        if self._tracer is None:
             return None
         return snapshot_of(self._tracer, self._metrics)
+
+    def probe_snapshot(self) -> Optional[Dict[str, Any]]:
+        """The probes plane's ``probes/<hash>.json`` dict, or None when off."""
+        if self._recorder is None:
+            return None
+        return self._recorder.snapshot()
 
 
 def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:
@@ -270,7 +348,7 @@ def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:
          "phases": {phase-name: total_s},      # cat == "phase" spans
          "spans": {name: {count, total_s, max_s}},
          "events": [{name, cat, ts, dur, args}, ...],
-         "dropped": n, "events_dropped": n,   # tracer cap (MAX_EVENTS) hits
+         "events_dropped": n,                 # tracer cap (MAX_EVENTS) hits
          "counters": {...}, "gauges": {...},
          "histograms": {name: {count, total, min, max, samples}},
          "sim_s": <total seconds inside backend run spans>}
@@ -292,10 +370,9 @@ def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:
         "phases": phases,
         "spans": spans,
         "events": tracer.events,
-        "dropped": tracer.dropped,
-        # The explicit alias status tables report: span events lost to the
-        # per-capture MAX_EVENTS cap (aggregates and phase totals are exact
-        # regardless — only the event *list* truncates).
+        # Span events lost to the per-capture MAX_EVENTS cap (aggregates
+        # and phase totals are exact regardless — only the event *list*
+        # truncates); status tables report it.
         "events_dropped": tracer.dropped,
         "counters": dict(metrics.counters),
         "gauges": dict(metrics.gauges),
@@ -342,5 +419,4 @@ class timed:
         return False
 
 
-if env_enabled():  # pragma: no cover - exercised via subprocess tests
-    enable()
+enable(env_planes())  # no-op unless REPRO_INSTRUMENT names a plane

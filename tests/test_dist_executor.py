@@ -346,7 +346,7 @@ class TestResultBatching:
 class TestSimEnginePropagation:
     """REPRO_SIM_ENGINE reaches spawned workers via the environment.
 
-    Mirrors the REPRO_TELEMETRY inheritance: spawned workers start from the
+    Mirrors the REPRO_INSTRUMENT inheritance: spawned workers start from the
     coordinator's environment, and the worker's Network builds pick the
     engine up per cell.  Byte-equality of the store under the reference
     engine is asserted end to end below — but equality alone cannot catch a
@@ -405,6 +405,51 @@ class TestSimEnginePropagation:
             stores["default"].result_path(spec).read_bytes()
             == stores["reference"].result_path(spec).read_bytes()
         )
+
+
+class TestInstrumentPropagation:
+    """Instrumentation enabled in the coordinator reaches spawned workers.
+
+    Only the parent's singleton is switched on (the environment carries no
+    ``REPRO_INSTRUMENT``): the coordinator must hand its planes to the
+    workers it spawns, and the sidecars they return must leave payloads
+    untouched.
+    """
+
+    def test_spans_and_probes_reach_spawned_workers(self, tmp_path, monkeypatch):
+        from repro.telemetry import INSTRUMENT_ENV_VAR, TELEMETRY, disable, enable
+
+        monkeypatch.delenv(INSTRUMENT_ENV_VAR, raising=False)
+        specs = tuple(
+            RunSpec.make(
+                "pingpong-placement",
+                {"placement": placement, "message_kib": 4, "noise": "none"},
+            )
+            for placement in ("inter-nodes", "inter-groups")
+        )
+        plan = CampaignPlan(name="instrumented", specs=specs)
+        serial_store = ArtifactStore(tmp_path / "serial")
+        assert execute_plan(plan, store=serial_store, workers=1).failed == 0
+
+        dist_store = ArtifactStore(tmp_path / "dist")
+        enable("spans,probes")
+        try:
+            result = run_distributed(
+                plan, store=dist_store, options=_options(workers=2, preload=None)
+            )
+        finally:
+            disable("spans,probes")
+        assert TELEMETRY.recorder is None
+        assert result.failed == 0 and result.executed == 2
+        index = dist_store.index()
+        for spec in plan:
+            assert "telemetry" in index[spec.spec_hash()], spec.label()
+            assert dist_store.has_probes(spec), spec.label()
+            assert (
+                dist_store.result_path(spec).read_bytes()
+                == serial_store.result_path(spec).read_bytes()
+            ), f"artifact for {spec.label()} differs instrumented vs plain"
+        assert not serial_store.has_probes(specs[0])
 
 
 # -- shard planning -----------------------------------------------------------------

@@ -21,27 +21,23 @@ import pytest
 from repro.analysis import congestion
 from repro.campaign import (
     ArtifactStore,
-    DistOptions,
     ensure_builtin_scenarios,
     plan_campaign,
     run_cell,
 )
 from repro.campaign.dist.protocol import Channel
-from repro.telemetry import snapshot_of, Metrics, Tracer
-from repro.telemetry.export import chrome_trace, validate_trace
-from repro.telemetry.probes import (
-    DEFAULT_DECISION_RATE,
-    DEFAULT_INTERVAL,
-    PROBES,
-    ProbeRecorder,
-    RingSeries,
-    disable_probes,
-    enable_probes,
-    env_decision_rate,
-    env_probe_interval,
-    env_probes_enabled,
-    probe_capture,
+from repro.telemetry import (
+    TELEMETRY,
+    Metrics,
+    Tracer,
+    capture,
+    disable,
+    enable,
+    env_planes,
+    snapshot_of,
 )
+from repro.telemetry.export import chrome_trace, validate_trace
+from repro.telemetry.probes import INTERVAL, ProbeRecorder, RingSeries
 
 SIM_ENGINES = ("calendar", "reference")
 FLOW_SOLVERS = ("reference", "vectorized")
@@ -49,14 +45,19 @@ FLOW_SOLVERS = ("reference", "vectorized")
 
 @pytest.fixture(autouse=True)
 def _probes_off():
-    """Every test starts and ends with probes off and default knobs."""
-    disable_probes()
-    PROBES.interval = DEFAULT_INTERVAL
-    PROBES.decision_rate = DEFAULT_DECISION_RATE
+    """Every test starts and ends with both instrumentation planes off."""
+    disable("spans,probes")
     yield
-    disable_probes()
-    PROBES.interval = DEFAULT_INTERVAL
-    PROBES.decision_rate = DEFAULT_DECISION_RATE
+    disable("spans,probes")
+
+
+def _probe_at(decision_rate: float) -> None:
+    """Turn probes on with a non-default decision rate.
+
+    Captures hand each cell an empty copy of the installed recorder, so
+    the rate carries into every ``run_cell``.
+    """
+    TELEMETRY.recorder = ProbeRecorder(decision_rate=decision_rate)
 
 
 def _spec(backend: str = "flit"):
@@ -88,51 +89,46 @@ class TestDisabledFastPath:
         assert record.probes is None
 
     def test_capture_snapshot_is_none(self):
-        with probe_capture() as cap:
+        with capture() as cap:
             pass
-        assert cap.snapshot() is None
+        assert cap.probe_snapshot() is None
 
     def test_singleton_identity_stable_across_toggles(self):
-        before = PROBES
-        enable_probes()
-        assert PROBES is before and PROBES.enabled
-        disable_probes()
-        assert PROBES is before and not PROBES.enabled
-        assert PROBES.recorder is None
+        before = TELEMETRY
+        enable("probes")
+        assert TELEMETRY is before and TELEMETRY.recorder is not None
+        assert not TELEMETRY.enabled  # the spans plane is untouched
+        disable("probes")
+        assert TELEMETRY is before and TELEMETRY.recorder is None
 
     def test_env_parsing(self):
-        assert env_probes_enabled({"REPRO_PROBES": "1"})
-        assert env_probes_enabled({"REPRO_PROBES": "yes"})
-        assert not env_probes_enabled({"REPRO_PROBES": "0"})
-        assert not env_probes_enabled({})
-        assert env_probe_interval({"REPRO_PROBE_INTERVAL": "64"}) == 64
-        assert env_probe_interval({}) is None
-        with pytest.raises(ValueError):
-            env_probe_interval({"REPRO_PROBE_INTERVAL": "0"})
-        assert env_decision_rate({"REPRO_PROBE_DECISION_RATE": "0.5"}) == 0.5
-        assert env_decision_rate({}) is None
-        with pytest.raises(ValueError):
-            env_decision_rate({"REPRO_PROBE_DECISION_RATE": "1.5"})
+        assert env_planes({"REPRO_INSTRUMENT": "probes"}) == "probes"
+        assert env_planes({"REPRO_INSTRUMENT": " Probes , spans "}) == "spans,probes"
+        assert env_planes({"REPRO_INSTRUMENT": ""}) == ""
+        assert env_planes({}) == ""
+        with pytest.raises(ValueError, match="unknown instrumentation plane"):
+            env_planes({"REPRO_INSTRUMENT": "probes,series"})
 
     def test_env_var_activates_fresh_interpreter(self):
         code = (
-            "from repro.telemetry.probes import PROBES; "
-            "print(PROBES.enabled, PROBES.interval)"
+            "from repro.telemetry import TELEMETRY; "
+            "print(TELEMETRY.enabled, TELEMETRY.recorder.snapshot()['interval'])"
         )
-        env = dict(os.environ, REPRO_PROBES="1", REPRO_PROBE_INTERVAL="128")
+        env = dict(os.environ, REPRO_INSTRUMENT="probes")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), _repo_src()) if p
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
-        assert out.stdout.strip() == "True 128"
+        assert out.stdout.strip() == f"False {INTERVAL}"
 
     def test_enable_validates_knobs(self):
         with pytest.raises(ValueError):
-            enable_probes(interval=0)
+            ProbeRecorder(decision_rate=2.0)
         with pytest.raises(ValueError):
-            enable_probes(decision_rate=2.0)
+            enable("probes,bogus")
+        assert TELEMETRY.recorder is None  # a rejected list enables nothing
 
 
 def _repo_src() -> str:
@@ -185,11 +181,13 @@ class TestEngineNeutrality:
         monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
         spec = _spec("flit")
         plain = run_cell(spec)
-        enable_probes(decision_rate=1.0)
+        enable("spans")
+        _probe_at(1.0)
         probed = run_cell(spec)
         assert plain.ok and probed.ok
         assert _canonical(plain.payload) == _canonical(probed.payload)
-        assert plain.probes is None
+        assert plain.probes is None and plain.telemetry is None
+        assert probed.telemetry is not None
         snapshot = probed.probes
         assert snapshot is not None and snapshot["backend"] == "flit"
         assert any(
@@ -203,17 +201,18 @@ class TestEngineNeutrality:
         monkeypatch.setenv("REPRO_FLOW_SOLVER", solver)
         spec = _spec("flow")
         plain = run_cell(spec)
-        enable_probes()
+        enable("spans,probes")
         probed = run_cell(spec)
         assert plain.ok and probed.ok
         assert _canonical(plain.payload) == _canonical(probed.payload)
+        assert probed.telemetry is not None
         snapshot = probed.probes
         assert snapshot is not None and snapshot["backend"] == "flow"
         assert any(s["metric"] == "occupancy" for s in snapshot["series"])
 
     def test_probe_snapshots_are_deterministic(self):
         spec = _spec("flit")
-        enable_probes(decision_rate=1.0)
+        _probe_at(1.0)
         first = run_cell(spec)
         second = run_cell(spec)
         assert _canonical(first.probes) == _canonical(second.probes)
@@ -223,7 +222,7 @@ class TestSchemaCompat:
     """Flit and flow emit the same series schema (same record fields)."""
 
     def _series(self, backend):
-        enable_probes()
+        enable("probes")
         record = run_cell(_spec(backend))
         assert record.probes is not None
         return record.probes["series"]
@@ -252,7 +251,7 @@ class TestSchemaCompat:
 
 class TestDecisionAudit:
     def test_audit_records_full_decisions(self):
-        enable_probes(decision_rate=1.0)
+        _probe_at(1.0)
         record = run_cell(_spec("flit"))
         snapshot = record.probes
         assert snapshot["decisions_seen"] >= snapshot["decisions_sampled"] > 0
@@ -275,7 +274,7 @@ class TestDecisionAudit:
             )
 
     def test_zero_rate_counts_but_never_samples(self):
-        enable_probes(decision_rate=0.0)
+        _probe_at(0.0)
         record = run_cell(_spec("flit"))
         snapshot = record.probes
         assert snapshot["decisions_seen"] > 0
@@ -301,7 +300,7 @@ class TestWire:
         return Channel(buffer, io.BytesIO()).recv()
 
     def test_result_frame_with_probes(self):
-        enable_probes(decision_rate=1.0)
+        _probe_at(1.0)
         spec = _spec("flit")
         record = run_cell(spec)
         frame = {
@@ -328,24 +327,13 @@ class TestWire:
         received = self._roundtrip(frame)
         assert "probes" not in received  # additive field, absent when off
 
-    def test_dist_options_validation(self):
-        with pytest.raises(ValueError):
-            DistOptions(probe_interval=64)  # needs probes=True
-        with pytest.raises(ValueError):
-            DistOptions(probes=True, probe_interval=0)
-        with pytest.raises(ValueError):
-            DistOptions(probes=True, probe_decision_rate=1.5)
-        options = DistOptions(probes=True, probe_interval=64,
-                              probe_decision_rate=0.5)
-        assert options.probes and options.probe_interval == 64
-
 
 # -- store round-trip ---------------------------------------------------------------
 
 
 class TestStoreRoundTrip:
     def _saved_store(self, tmp_path):
-        enable_probes(decision_rate=1.0)
+        _probe_at(1.0)
         spec = _spec("flit")
         record = run_cell(spec)
         store = ArtifactStore(tmp_path / "store")
@@ -513,7 +501,7 @@ class TestCongestionAnalytics:
 
 class TestChromeCounters:
     def test_probe_sidecars_become_counter_tracks(self, tmp_path):
-        enable_probes()
+        enable("probes")
         spec = _spec("flit")
         record = run_cell(spec)
         store = ArtifactStore(tmp_path / "store")
@@ -556,4 +544,4 @@ class TestEventsDropped:
                 pass
         snapshot = snapshot_of(tracer, Metrics())
         assert snapshot["events_dropped"] == 3
-        assert snapshot["dropped"] == 3  # legacy alias kept
+        assert "dropped" not in snapshot  # one key: events_dropped

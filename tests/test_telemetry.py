@@ -30,7 +30,7 @@ from repro.telemetry import (
     capture,
     disable,
     enable,
-    env_enabled,
+    env_planes,
     get_logger,
     log_event,
     reset_logging,
@@ -48,10 +48,10 @@ from repro.telemetry.export import (
 
 @pytest.fixture(autouse=True)
 def _telemetry_off():
-    """Every test starts and ends with telemetry disabled."""
-    disable()
+    """Every test starts and ends with both instrumentation planes off."""
+    disable("spans,probes")
     yield
-    disable()
+    disable("spans,probes")
 
 
 def _spec(store_seed: int = 0):
@@ -134,7 +134,7 @@ class TestTracer:
         assert set(snapshot["phases"]) == {"simulate", "report"}
         assert snapshot["sim_s"] == snapshot["phases"]["simulate"]
         assert snapshot["spans"]["simulate"]["count"] == 1
-        assert snapshot["dropped"] == 0
+        assert snapshot["events_dropped"] == 0
         json.dumps(snapshot)  # must be JSON-safe as-is
 
 
@@ -175,22 +175,40 @@ class TestDisabledFastPath:
         assert TELEMETRY is before and not TELEMETRY.enabled
 
     def test_env_enabled_parsing(self):
-        assert env_enabled({"REPRO_TELEMETRY": "1"})
-        assert env_enabled({"REPRO_TELEMETRY": "yes"})
-        assert not env_enabled({"REPRO_TELEMETRY": "0"})
-        assert not env_enabled({"REPRO_TELEMETRY": "off"})
-        assert not env_enabled({})
+        assert env_planes({"REPRO_INSTRUMENT": "spans"}) == "spans"
+        assert env_planes({"REPRO_INSTRUMENT": "probes,SPANS"}) == "spans,probes"
+        assert env_planes({}) == ""
+        with pytest.raises(ValueError, match="unknown instrumentation plane"):
+            env_planes({"REPRO_INSTRUMENT": "1"})
 
     def test_env_var_activates_fresh_interpreter(self):
-        code = "from repro.telemetry import TELEMETRY; print(TELEMETRY.enabled)"
-        env = dict(os.environ, REPRO_TELEMETRY="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), str(_repo_src())) if p
+        code = (
+            "from repro.telemetry import TELEMETRY; "
+            "print(TELEMETRY.enabled, TELEMETRY.recorder is not None)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "True"
+
+        def run(**extra):
+            env = {
+                k: v for k, v in os.environ.items()
+                if not k.startswith("REPRO_")
+            }
+            env.update(extra)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.environ.get("PYTHONPATH"), str(_repo_src())) if p
+            )
+            return subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+
+        assert run(REPRO_INSTRUMENT="spans").stdout.strip() == "True False"
+        assert run(REPRO_INSTRUMENT="spans,probes").stdout.strip() == "True True"
+        assert run().stdout.strip() == "False False"
+        # A leftover per-plane switch fails loudly instead of silently
+        # running uninstrumented, and names the one that replaced it.
+        stale = run(REPRO_TELEMETRY="1")
+        assert stale.returncode != 0
+        assert "REPRO_TELEMETRY" in stale.stderr
+        assert "REPRO_INSTRUMENT" in stale.stderr
 
 
 def _repo_src():
@@ -254,8 +272,9 @@ class TestCellCapture:
     def test_payload_identical_with_and_without_telemetry(self):
         spec = _spec()
         plain = run_cell(spec)
-        enable()
+        enable("spans,probes")
         traced = run_cell(spec)
+        assert traced.telemetry is not None and traced.probes is not None
         assert json.dumps(plain.payload, sort_keys=True) == json.dumps(
             traced.payload, sort_keys=True
         )

@@ -7,8 +7,8 @@ results themselves (via stdout, use ``-s`` to see them live; they are also
 written to ``benchmarks/results/``).
 
 The experiment scale is selected with the ``REPRO_BENCH_SCALE`` environment
-variable: ``paper`` (default; reduced-scale stand-in for the paper's runs) or
-``smoke`` (minutes → seconds, for CI).
+variable: ``smoke`` (default; minutes → seconds, for CI) or ``paper``
+(reduced-scale stand-in for the paper's runs).
 """
 
 from __future__ import annotations

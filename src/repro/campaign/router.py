@@ -6,8 +6,7 @@ policy object :func:`~repro.campaign.plan.plan_campaign` consumes:
 
 1. every cell is profiled (:func:`profile_for` — machine size and traffic
    volume from the scale preset, refined by the scenario's ``cost_hints``)
-   and costed under each backend with a registered cost model
-   (:mod:`repro.model.cost`);
+   and costed under each backend (:data:`repro.model.cost.COST_MODELS`);
 2. ``auto`` cells default to the highest-fidelity backend (``flit``), and
    are demoted to the cheapest backend — greedily, biggest savings first —
    until the plan's total estimated work fits the router's budget;
@@ -37,16 +36,12 @@ from repro.campaign.plan import (
     scale_for,
 )
 from repro.campaign.registry import scenario_cost_hints, scenario_tags
-from repro.model.base import BackendError, available_cost_models, cost_model_for
-from repro.model.cost import CostEstimate, WorkloadProfile
+from repro.model.base import BACKENDS, BackendError
+from repro.model.cost import COST_MODELS, CostEstimate, WorkloadProfile
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.store import ArtifactStore
-
-#: Backends ordered most-faithful first; ``auto`` resolution prefers the
-#: leftmost backend whose cost model is registered.
-FIDELITY_ORDER: Tuple[str, ...] = ("flit", "flow")
 
 #: Work units one second of recorded wall-clock converts to when a cell's
 #: cost is seeded from store history.  Chosen so one second is the same
@@ -74,7 +69,7 @@ class CellCost:
     #: Backend the cell was routed to (== ``spec.backend``).
     chosen: str
     #: Why: ``explicit`` (caller pinned it), ``pinned`` (flow-only tag),
-    #: ``fidelity`` (auto default), ``cell-cap`` or ``budget`` (demoted).
+    #: ``fidelity`` (auto default) or ``budget`` (demoted to fit the budget).
     reason: str
     #: Per-backend estimates the decision was made over.
     estimates: Mapping[str, CostEstimate]
@@ -212,18 +207,6 @@ class CostHistory:
         return len(self.samples.get((scenario, scale, backend), ()))
 
 
-def _auto_candidates() -> Tuple[str, ...]:
-    """Backends an ``auto`` cell may resolve to, most-faithful first."""
-    modelled = set(available_cost_models())
-    ordered = tuple(name for name in FIDELITY_ORDER if name in modelled)
-    if not ordered:
-        raise BackendError(
-            "backend='auto' needs at least one backend with a registered "
-            f"cost model (have: {', '.join(sorted(modelled)) or '<none>'})"
-        )
-    return ordered
-
-
 def estimate_cell(
     spec: RunSpec,
     backends: Optional[Sequence[str]] = None,
@@ -232,36 +215,32 @@ def estimate_cell(
     """Cost one cell under the given (or its applicable) backends.
 
     A concrete spec is estimated on its own backend; an ``auto`` spec on
-    every auto candidate.  Backends without a cost model are annotated
-    with zero work (they cannot be auto-routed to, but an explicitly
-    pinned cell on such a backend must still plan).
+    every backend in :data:`~repro.model.base.BACKENDS`.  A backend outside
+    that set raises :class:`~repro.model.base.BackendError`.
 
     With a :class:`CostHistory`, a backend whose (scenario, scale) group
     has enough recorded runs gets its estimate seeded from the measured
     wall-clock median instead of the static proxy; the estimate's detail
     then carries ``history_runs`` and ``history_median_s``.
     """
-    profile = profile_for(spec)
     if backends is None:
-        backends = _auto_candidates() if spec.is_auto else (spec.backend,)
+        backends = BACKENDS if spec.is_auto else (spec.backend,)
+    profile = profile_for(spec)
     estimates: Dict[str, CostEstimate] = {}
     for name in backends:
-        try:
-            model = cost_model_for(name)
-        except BackendError:
-            estimates[name] = CostEstimate(
-                backend=name, work=0.0, detail={"unmodelled": 1.0}
+        model = COST_MODELS.get(name)
+        if model is None:
+            raise BackendError(
+                f"cell {spec.label()} names unknown backend {name!r} "
+                f"(known: {', '.join(BACKENDS)})"
             )
-        else:
-            estimates[name] = model.estimate_cost(profile)
+        estimates[name] = model.estimate_cost(profile)
         if history is None:
             continue
         empirical = history.work_for(spec.scenario, spec.scale, name)
         if empirical is None:
             continue
         detail = dict(estimates[name].detail)
-        # Measured runs make the backend "modelled" even without a proxy.
-        detail.pop("unmodelled", None)
         detail["history_runs"] = float(history.runs_for(spec.scenario, spec.scale, name))
         detail["history_median_s"] = empirical / HISTORY_UNITS_PER_SECOND
         estimates[name] = CostEstimate(backend=name, work=empirical, detail=detail)
@@ -272,18 +251,15 @@ def estimate_cell(
 class BackendRouter:
     """Plan-time policy resolving ``auto`` cells to concrete backends.
 
-    ``prefer`` is the fidelity default (an auto cell runs there unless a
-    cap forces it elsewhere); ``cell_cap`` caps any single cell's work;
-    ``budget`` caps the plan's total work.  Audit re-runs are *not* a
-    routing concern: pass ``audit_fraction`` to
+    An auto cell runs on the most faithful backend (``BACKENDS[0]``) unless
+    ``budget``, a cap on the plan's total work, demotes it.  Audit re-runs
+    are *not* a routing concern: pass ``audit_fraction`` to
     :func:`~repro.campaign.executor.execute_plan` (or ``--audit-fraction``
     on the CLI), which samples the routed plan via
     :func:`select_audit_pairs`.
     """
 
-    prefer: str = "flit"
     budget: Optional[float] = None
-    cell_cap: Optional[float] = None
     #: Recorded-run history seeding the estimates (PR-4 follow-on): cells
     #: whose (scenario, scale, backend) group has ``history.min_runs``
     #: prior runs in the store are costed from measured wall-clock medians
@@ -293,11 +269,9 @@ class BackendRouter:
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.cell_cap is not None and self.cell_cap <= 0:
-            raise ValueError("cell_cap must be positive")
 
     def route(self, specs: Sequence[RunSpec]) -> List[CellCost]:
-        """Resolve every spec to a concrete backend, honouring the caps.
+        """Resolve every spec to a concrete backend, honouring the budget.
 
         Explicitly pinned cells are cost-annotated but never moved; their
         estimated work still counts against the budget.  Raises
@@ -311,16 +285,6 @@ class BackendRouter:
             cell_estimates = estimate_cell(spec, history=self.history)
             estimates.append(cell_estimates)
             if not spec.is_auto:
-                # A budget over a cell we cannot cost would be a silent lie:
-                # the cell counts as free and "within budget" means nothing.
-                if self.budget is not None and cell_estimates[spec.backend].detail.get(
-                    "unmodelled"
-                ):
-                    raise BackendError(
-                        f"cell {spec.label()} is pinned to backend "
-                        f"{spec.backend!r}, which has no registered cost model "
-                        "— a --budget cannot be enforced over it"
-                    )
                 chosen.append(spec.backend)
                 reasons.append(
                     "pinned"
@@ -328,14 +292,8 @@ class BackendRouter:
                     else "explicit"
                 )
                 continue
-            candidates = list(cell_estimates)
-            pick = self.prefer if self.prefer in candidates else candidates[0]
-            reason = "fidelity"
-            if self.cell_cap is not None and cell_estimates[pick].work > self.cell_cap:
-                pick = min(candidates, key=lambda name: cell_estimates[name].work)
-                reason = "cell-cap"
-            chosen.append(pick)
-            reasons.append(reason)
+            chosen.append(BACKENDS[0])
+            reasons.append("fidelity")
 
         if self.budget is not None:
             total = sum(estimates[i][chosen[i]].work for i in range(len(specs)))

@@ -1,11 +1,10 @@
-"""Cost/fidelity layer of the backend registry: what would this run cost?
+"""Cost/fidelity layer of the backends: what would this run cost?
 
-Every network-model backend can register a :class:`CostModel` next to its
-constructor (see :func:`repro.model.base.register_cost_model`).  A cost
-model turns a substrate-independent :class:`WorkloadProfile` — how big the
-machine is and how much traffic the run will push — into a
-:class:`CostEstimate` in *work units*, an abstract inner-loop-operation
-count comparable across backends:
+Each backend in :data:`repro.model.base.BACKENDS` has a cost model in
+:data:`COST_MODELS`.  A cost model turns a substrate-independent
+:class:`WorkloadProfile` — how big the machine is and how much traffic the
+run will push — into a :class:`CostEstimate` in *work units*, an abstract
+inner-loop-operation count comparable across backends:
 
 * the ``flit`` backend estimates **events**: every flit of every packet is
   an event at every hop, so work ~ ``messages x flits/message x hops``;
@@ -24,7 +23,6 @@ calibration knobs if the ordering ever drifts.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
@@ -79,18 +77,7 @@ class CostEstimate:
             raise ValueError("estimated work must be non-negative")
 
 
-class CostModel(abc.ABC):
-    """Per-backend cost estimator: profile in, work units out."""
-
-    #: Registry key of the backend this model estimates for.
-    backend_name: ClassVar[str] = "abstract"
-
-    @abc.abstractmethod
-    def estimate_cost(self, profile: WorkloadProfile) -> CostEstimate:
-        """Estimate the work of running ``profile`` on this backend."""
-
-
-class FlitCostModel(CostModel):
+class FlitCostModel:
     """Event-count proxy for the cycle-accurate flit simulator.
 
     Every request flit is forwarded at every fabric hop plus the two NIC
@@ -131,7 +118,7 @@ class FlitCostModel(CostModel):
         )
 
 
-class FlowCostModel(CostModel):
+class FlowCostModel:
     """Solver-work proxy for the flow-level engine.
 
     Each membership change (one submission and one completion per message)
@@ -165,3 +152,7 @@ class FlowCostModel(CostModel):
                 "ops": ops,
             },
         )
+
+
+#: backend name -> its cost estimator (``estimate_cost(profile)``).
+COST_MODELS = {"flit": FlitCostModel(), "flow": FlowCostModel()}

@@ -42,7 +42,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SimulationConfig
-from repro.model.base import NetworkModel, register_backend
+from repro.model.base import NetworkModel
 from repro.model.flow.engine import default_engine_kind, make_engine
 from repro.model.flow.solver import FairShareSolver, FlowState
 from repro.network.counters import NicCounters
@@ -441,11 +441,7 @@ class FlowNetwork(NetworkModel):
             raise ValueError(f"unsupported routing mode {mode}")
 
         cfg = self.config.routing
-        if mode is RoutingMode.ADAPTIVE_0:
-            bias = 0.0
-        else:
-            minimal_hops = sampler.minimal_hops(src_router, dst_router)
-            bias = bias_for_mode(mode, cfg, minimal_hops)
+        bias = bias_for_mode(mode, cfg, sampler.minimal_hops(src_router, dst_router))
 
         minimal_paths = self._minimal_spread(src_router, dst_router)
         seen = set(minimal_paths)
@@ -862,10 +858,3 @@ class FlowNetwork(NetworkModel):
         state.src_nic.inflight -= 1
         if message.on_acked is not None:
             message.on_acked(message)
-
-
-def _build_flow(config=None, sim=None, streams=None) -> FlowNetwork:
-    return FlowNetwork(config=config, sim=sim, streams=streams)
-
-
-register_backend("flow", _build_flow)

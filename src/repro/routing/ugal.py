@@ -18,18 +18,16 @@ the scoring entirely.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import RoutingConfig
 from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
 from repro.telemetry.core import TELEMETRY
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.paths import PathSampler, hop_count_minimal
+from repro.topology.paths import PathSampler
 
 Path = Tuple[int, ...]
-#: Returns the Link object carrying traffic from the first to the second router.
-LinkProbe = Callable[[int, int], "object"]
 
 
 class PathDecision:
@@ -71,16 +69,11 @@ class UgalSelector:
         Bias values, candidate counts and the credit-information delay.
     rng:
         Random stream used for candidate sampling (hashed tie-breaking).
-    link_probe:
-        Callable mapping ``(src_router, dst_router)`` to the corresponding
-        :class:`repro.network.link.Link`, used to read congestion.  It may be
-        ``None`` for purely structural uses (e.g. tests of path legality), in
-        which case congestion is treated as zero everywhere.
     links:
-        Optional direct mapping ``(src_router, dst_router) -> Link`` covering
-        every fabric link.  When given, the per-candidate congestion probe
-        skips the ``link_probe`` indirection (the scoring runs four times per
-        injected packet, so the call overhead is measurable).
+        Mapping ``(src_router, dst_router) -> Link`` covering every fabric
+        link (:class:`repro.network.link.Link`), read for congestion.  It
+        may be ``None`` for purely structural uses (e.g. tests of path
+        legality), in which case congestion is treated as zero everywhere.
     """
 
     def __init__(
@@ -88,13 +81,11 @@ class UgalSelector:
         topology: DragonflyTopology,
         config: RoutingConfig,
         rng: random.Random,
-        link_probe: Optional[LinkProbe] = None,
         links: Optional[dict] = None,
     ):
         self.topology = topology
         self.config = config
         self.rng = rng
-        self.link_probe = link_probe
         self.links = links
         self.sampler = PathSampler(topology, rng)
         self.decisions = 0
@@ -102,8 +93,6 @@ class UgalSelector:
         self.nonminimal_decisions = 0
         self._far_weight = config.far_end_weight
         self._info_delay = config.credit_info_delay
-        #: (mode, minimal_hops) -> bias; bias_for_mode is pure in the config.
-        self._bias_cache: Dict[Tuple[RoutingMode, int], float] = {}
 
     # -- congestion scoring ----------------------------------------------------
 
@@ -113,12 +102,9 @@ class UgalSelector:
         if hops <= 0:
             return 0.0
         links = self.links
-        if links is not None:
-            link = links[(path[0], path[1])]
-        elif self.link_probe is not None:
-            link = self.link_probe(path[0], path[1])
-        else:
+        if links is None:
             return float(hops)
+        link = links[(path[0], path[1])]
         delay = self._info_delay
         if delay <= 0:
             far = float(link.capacity - link.credits)
@@ -148,34 +134,28 @@ class UgalSelector:
             raise ValueError(f"unsupported routing mode {mode}")
         recorder = TELEMETRY.recorder
         if recorder is not None and recorder.want_decision():
-            return self._record(
-                self._select_audited(src_router, dst_router, mode, recorder)
-            )
+            trail: List[Tuple[Path, bool, float]] = []
+            decision = self._select_adaptive(src_router, dst_router, mode, trail)
+            self._audit(recorder, src_router, dst_router, mode, trail)
+            return self._record(decision)
         return self._record(self._select_adaptive(src_router, dst_router, mode))
 
-    def _bias_for(self, mode: RoutingMode, src_router: int, dst_router: int) -> float:
-        """Cached non-minimal bias for one (mode, endpoint-pair) decision."""
-        if mode is RoutingMode.ADAPTIVE_0:
-            return 0.0
-        minimal_hops = self.sampler.minimal_hops(src_router, dst_router)
-        key = (mode, minimal_hops)
-        bias = self._bias_cache.get(key)
-        if bias is None:
-            bias = bias_for_mode(mode, self.config, minimal_hops)
-            self._bias_cache[key] = bias
-        return bias
-
     def _select_adaptive(
-        self, src_router: int, dst_router: int, mode: RoutingMode
+        self,
+        src_router: int,
+        dst_router: int,
+        mode: RoutingMode,
+        trail: Optional[List[Tuple[Path, bool, float]]] = None,
     ) -> PathDecision:
+        """The UGAL choice; appends ``(path, minimal, score)`` to ``trail``."""
         cfg = self.config
-        bias = self._bias_for(mode, src_router, dst_router)
+        sampler = self.sampler
+        bias = bias_for_mode(mode, cfg, sampler.minimal_hops(src_router, dst_router))
 
         # Prefer minimal candidates on ties so a zero-bias idle network still
         # routes minimally (matching hardware behaviour at low load): minimal
         # candidates are scored first and only a strictly better score can
         # displace the running best.
-        sampler = self.sampler
         score_of = self._path_score
         best_path: Optional[Path] = None
         best_score = 0.0
@@ -194,6 +174,8 @@ class UgalSelector:
                 score = score_of(path)
                 prev_path = path
                 prev_score = score
+            if trail is not None:
+                trail.append((path, True, score))
             if best_path is None or score < best_score:
                 best_score = score
                 best_path = path
@@ -202,6 +184,8 @@ class UgalSelector:
         for _ in range(cfg.nonminimal_candidates):
             path = sampler.nonminimal(src_router, dst_router)
             score = score_of(path) * penalty + bias
+            if trail is not None:
+                trail.append((path, False, score))
             if best_path is None or score < best_score:
                 best_score = score
                 best_path = path
@@ -212,86 +196,55 @@ class UgalSelector:
 
     # -- decision audit ----------------------------------------------------------
 
-    def _select_audited(
-        self, src_router: int, dst_router: int, mode: RoutingMode, recorder
-    ) -> PathDecision:
-        """An adaptive decision that also records its full audit trail.
+    def _audit(
+        self,
+        recorder,
+        src_router: int,
+        dst_router: int,
+        mode: RoutingMode,
+        trail: List[Tuple[Path, bool, float]],
+    ) -> None:
+        """Record the full trail of one adaptive decision for the flip audit.
 
-        Decision-identical to :meth:`_select_adaptive`: candidates are
-        sampled up front, which consumes the RNG in the same order as the
-        interleaved scalar loop (scoring draws nothing), the stale scores
-        use the exact :meth:`_path_score` arithmetic and congestion reads,
-        and the minimal-first strictly-better tie-break is reproduced.  On
-        top of that, every candidate is re-scored under the *live* credit
-        view (:meth:`repro.network.link.Link.occupancy_view` — a pure
-        read), flagging decisions that would flip without the
-        ``credit_info_delay`` staleness: the phantom-congestion signal.
+        ``trail`` is what :meth:`_select_adaptive` scored, in order, so
+        ``chosen`` is the decision the router really made.  Every candidate
+        is re-scored under the *live* credit view
+        (:meth:`repro.network.link.Link.occupancy_view` — a pure read),
+        flagging decisions that would flip without the ``credit_info_delay``
+        staleness: the phantom-congestion signal.  The stale reads repeat
+        the scoring's own reads at the same instant, so they see the values
+        the decision saw.
         """
         cfg = self.config
-        bias = self._bias_for(mode, src_router, dst_router)
-        sampler = self.sampler
-        minimal_paths = [
-            sampler.minimal(src_router, dst_router)
-            for _ in range(cfg.minimal_candidates)
-        ]
-        nonminimal_paths = [
-            sampler.nonminimal(src_router, dst_router)
-            for _ in range(cfg.nonminimal_candidates)
-        ]
-        paths = minimal_paths + nonminimal_paths
-        n_min = len(minimal_paths)
+        bias = bias_for_mode(mode, cfg, self.sampler.minimal_hops(src_router, dst_router))
         penalty = cfg.nonminimal_penalty
         far_weight = self._far_weight
         delay = self._info_delay
         links = self.links
-        probe = self.link_probe
         now = 0
         candidates = []
-        best_idx = -1
-        best_score = 0.0
-        best_minimal = True
-        live_idx = -1
-        live_best = 0.0
-        for i, path in enumerate(paths):
-            minimal = i < n_min
-            hops = len(path) - 1
+        best_idx = live_idx = -1
+        best_score = live_best = 0.0
+        for i, (path, minimal, score) in enumerate(trail):
             queue = 0
-            far_stale = 0.0
-            far_live = 0.0
-            if hops <= 0:
-                score = 0.0
-                live = 0.0
-            else:
-                if links is not None:
-                    link = links[(path[0], path[1])]
-                elif probe is not None:
-                    link = probe(path[0], path[1])
+            far_stale = far_live = 0.0
+            live = score
+            if links is not None:
+                hops = len(path) - 1
+                link = links[(path[0], path[1])]
+                now = link.sim._now
+                if delay <= 0:
+                    far_stale = float(link.capacity - link.credits)
                 else:
-                    link = None
-                if link is None:
-                    score = float(hops)
-                    live = score
-                else:
-                    now = link.sim._now
-                    # Stale view first, computed exactly as _path_score
-                    # would (including its mutations — which the unaudited
-                    # decision would have performed identically); the live
-                    # view after it is a pure read.
-                    if delay <= 0:
-                        far_stale = float(link.capacity - link.credits)
-                    else:
-                        far_stale = link.far_congestion(delay)
-                    far_live = float(link.occupancy_view(now))
-                    queue = link.queue_flits
-                    score = (queue + far_weight * far_stale) * hops + hops
-                    live = (queue + far_weight * far_live) * hops + hops
-            if not minimal:
-                score = score * penalty + bias
-                live = live * penalty + bias
+                    far_stale = link.far_congestion(delay)
+                far_live = float(link.occupancy_view(now))
+                queue = link.queue_flits
+                live = (queue + far_weight * far_live) * hops + hops
+                if not minimal:
+                    live = live * penalty + bias
             if best_idx < 0 or score < best_score:
                 best_idx = i
                 best_score = score
-                best_minimal = minimal
             if live_idx < 0 or live < live_best:
                 live_idx = i
                 live_best = live
@@ -304,7 +257,6 @@ class UgalSelector:
                 "score": round(score, 3),
                 "score_live": round(live, 3),
             })
-        flip = paths[best_idx] != paths[live_idx]
         recorder.record_decision({
             "t": now,
             "src": src_router,
@@ -313,12 +265,11 @@ class UgalSelector:
             "bias": bias,
             "penalty": penalty,
             "chosen": best_idx,
-            "minimal": best_minimal,
+            "minimal": trail[best_idx][1],
             "live_choice": live_idx,
-            "flip": flip,
+            "flip": trail[best_idx][0] != trail[live_idx][0],
             "candidates": candidates,
         })
-        return PathDecision(paths[best_idx], best_minimal, best_score, len(paths))
 
     def _record(self, decision: PathDecision) -> PathDecision:
         self.decisions += 1

@@ -37,13 +37,9 @@ from repro.campaign.plan import (
 from repro.campaign.registry import Scenario, ScenarioError, register
 from repro.campaign.router import estimate_cell, profile_for
 from repro.experiments.cli import campaign_main, parse_override
-from repro.model.base import (
-    BackendError,
-    available_cost_models,
-    cost_model_for,
-    register_cost_model,
-)
+from repro.model.base import BACKENDS, BackendError
 from repro.model.cost import (
+    COST_MODELS,
     CostEstimate,
     FlitCostModel,
     FlowCostModel,
@@ -108,23 +104,20 @@ def _auto_specs():
 
 class TestCostModels:
     def test_builtin_backends_have_cost_models(self):
-        assert {"flit", "flow"} <= set(available_cost_models())
+        assert set(COST_MODELS) == set(BACKENDS)
 
     def test_unknown_cost_model_raises_backend_error(self):
-        with pytest.raises(BackendError, match="no cost model"):
-            cost_model_for("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError, match="already registered"):
-            register_cost_model(FlitCostModel())
+        spec = RunSpec.make("_router-toy", {"load": "tiny"})
+        with pytest.raises(BackendError, match="no-such-backend"):
+            estimate_cell(spec, backends=("flit", "no-such-backend"))
 
     def test_estimates_are_positive_and_detailed(self):
         profile = WorkloadProfile(
             nodes=24, routers=12, links=120, messages=100.0,
             flits_per_message=80.0, avg_hops=5.0, concurrent_flows=8.0,
         )
-        flit = cost_model_for("flit").estimate_cost(profile)
-        flow = cost_model_for("flow").estimate_cost(profile)
+        flit = COST_MODELS["flit"].estimate_cost(profile)
+        flow = COST_MODELS["flow"].estimate_cost(profile)
         assert flit.backend == "flit" and flow.backend == "flow"
         assert flit.work > 0 and flow.work > 0
         assert flit.detail["events"] > 0
@@ -295,11 +288,13 @@ class TestSpecFormatMigration:
         assert routed.spec_hash() != pinned.spec_hash()
         assert store.has(pinned) and not store.has(routed)
         # And the executor treats the routed spec as a cache miss.
+        auto = RunSpec.make("_router-toy", {"load": "tiny"}, backend=AUTO_BACKEND)
+        flow_work = estimate_cell(auto)["flow"].work
         plan = plan_campaign(
             ["_router-toy"],
             overrides={"load": ("tiny",)},
             backend=AUTO_BACKEND,
-            router=BackendRouter(budget=None, cell_cap=1.0),  # cheapest => flow
+            router=BackendRouter(budget=flow_work * 1.001),  # only flow fits
         )
         assert plan.specs[0].backend == "flow"
         result = execute_plan(plan, store=store)
@@ -383,31 +378,19 @@ class TestBackendRouter:
         with pytest.raises(BudgetError, match="cheapest routing"):
             BackendRouter(budget=flow_total * 0.5).route(specs)
 
-    def test_cell_cap_routes_expensive_cells_to_cheapest(self):
-        specs = _auto_specs()
-        baseline = BackendRouter().route(specs)
-        works = {c.spec.params_dict["load"]: c.estimates["flit"].work for c in baseline}
-        cap = (works["big"] + works["huge"]) / 2  # only "huge" exceeds it
-        cells = BackendRouter(cell_cap=cap).route(specs)
-        by_load = {c.spec.params_dict["load"]: c for c in cells}
-        assert by_load["huge"].chosen == "flow" and by_load["huge"].reason == "cell-cap"
-        assert by_load["tiny"].chosen == "flit"
-
     def test_router_validation(self):
         with pytest.raises(ValueError):
             BackendRouter(budget=0.0)
         with pytest.raises(ValueError):
-            BackendRouter(cell_cap=-1.0)
+            BackendRouter(budget=-1.0)
 
     def test_budget_over_unmodelled_backend_is_an_error(self):
-        """A cell the router cannot cost must not count as free work."""
+        """A cell pinned to an unknown backend fails at plan time."""
         spec = RunSpec.make("_router-toy", {"load": "tiny"}, backend="fancy")
-        with pytest.raises(BackendError, match="no registered cost model"):
+        with pytest.raises(BackendError, match="fancy.*flit, flow"):
             BackendRouter(budget=100.0).route([spec])
-        # Without a budget the cell is annotated (work 0) but still plans.
-        cells = BackendRouter().route([spec])
-        assert cells[0].work == 0.0
-        assert cells[0].estimates["fancy"].detail == {"unmodelled": 1.0}
+        with pytest.raises(BackendError, match="fancy.*flit, flow"):
+            BackendRouter().route([spec])
 
     def test_plan_campaign_annotates_costs_and_budget(self):
         plan = plan_campaign(

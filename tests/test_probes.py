@@ -273,6 +273,21 @@ class TestDecisionAudit:
                 1 for d in snapshot["decisions"] if d["flip"]
             )
 
+    def test_audit_records_are_internally_consistent(self):
+        """Each record describes the decision it audits, field by field."""
+        _probe_at(1.0)
+        record = run_cell(_spec("flit"))
+        decisions = record.probes["decisions"]
+        assert decisions
+        for decision in decisions:
+            candidates = decision["candidates"]
+            chosen = candidates[decision["chosen"]]
+            live = candidates[decision["live_choice"]]
+            assert chosen["score"] == min(c["score"] for c in candidates)
+            assert live["score_live"] == min(c["score_live"] for c in candidates)
+            assert decision["minimal"] == chosen["minimal"]
+            assert decision["flip"] == (chosen["path"] != live["path"])
+
     def test_zero_rate_counts_but_never_samples(self):
         _probe_at(0.0)
         record = run_cell(_spec("flit"))

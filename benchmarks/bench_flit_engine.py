@@ -58,12 +58,16 @@ from repro.experiments.harness import ExperimentScale
 from repro.model import build_network_model
 from repro.mpi.job import MpiJob
 from repro.noise.background import BackgroundTraffic, NoiseLevel
-from repro.sim.engine import SIM_ENGINE_ENV_VAR, SIM_ENGINE_KINDS, make_simulator
+from repro.sim.calendar import CalendarSimulator
+from repro.sim.engine import Simulator
 from repro.workloads.microbench import PingPongBenchmark
 
 #: The pre-optimization tree the engine work started from (kept runnable
 #: from git history so the speedup baseline is measured, not remembered).
 SEED_REV = "1db438ac73c347f8a8b1be20c4db375bc1e5f97c"
+
+#: The engines timed against each other: production first, then its spec.
+ENGINES = {"calendar": CalendarSimulator, "reference": Simulator}
 
 #: Interleaved timing rounds; every contender's time is its minimum.
 REPEATS = 5
@@ -109,7 +113,7 @@ def run_flit(engine: str, scale: ExperimentScale) -> dict:
     """
     network = build_network_model(
         scale.simulation_config().with_backend("flit"),
-        sim=make_simulator(engine),
+        sim=ENGINES[engine](),
     )
     allocation = [0, network.num_nodes - 1]
     noise = BackgroundTraffic.for_level(
@@ -199,7 +203,6 @@ def run_seed(root: pathlib.Path, scale: ExperimentScale) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     env["REPRO_BENCH_SCALE"] = scale.name
-    env.pop(SIM_ENGINE_ENV_VAR, None)  # the seed predates engine selection
     run = subprocess.run(
         [sys.executable, "-c", _SEED_SCRIPT],
         capture_output=True,
@@ -239,12 +242,12 @@ def measure_flit_engine(scale: ExperimentScale, with_seed: bool = True) -> dict:
         seed_root = extract_seed(tmp) if with_seed else None
         contenders = {
             engine: (lambda engine=engine: run_flit(engine, scale))
-            for engine in SIM_ENGINE_KINDS
+            for engine in ENGINES
         }
         if seed_root is not None:
             # Each seed run warms itself in its own interpreter.
             contenders["seed"] = lambda: run_seed(seed_root, scale)
-        for engine in SIM_ENGINE_KINDS:
+        for engine in ENGINES:
             run_flit(engine, scale)  # warm caches/imports outside the timing
         runs = {name: [] for name in contenders}
         order = list(contenders)
@@ -259,12 +262,12 @@ def measure_flit_engine(scale: ExperimentScale, with_seed: bool = True) -> dict:
             "simulated_cycles": runs[engine][0]["simulated_cycles"],
             "digest": runs[engine][0]["digest"],
         }
-        for engine in SIM_ENGINE_KINDS
+        for engine in ENGINES
     ]
     by_engine = {entry["engine"]: entry for entry in series}
     calendar = by_engine["calendar"]
     # Every timed run, not just one per engine, must replay the same events.
-    digests = {r["digest"] for engine in SIM_ENGINE_KINDS for r in runs[engine]}
+    digests = {r["digest"] for engine in ENGINES for r in runs[engine]}
     payload = {
         "benchmark": "flit_engine",
         "scale": scale.name,

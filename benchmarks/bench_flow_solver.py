@@ -34,8 +34,15 @@ if __package__ in (None, ""):  # `python benchmarks/bench_flow_solver.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import RESULTS_DIR, emit
-from repro.model.flow.engine import make_engine
+from repro.model.flow.engine import ReferenceFairShareEngine
 from repro.model.flow.solver import FlowState
+from repro.model.flow.vectorized import VectorizedFairShareEngine
+
+#: The engines timed against each other, by name.
+ENGINES = {
+    "reference": ReferenceFairShareEngine,
+    "vectorized": VectorizedFairShareEngine,
+}
 
 #: Concurrent-flow counts of the full sweep (smoke keeps the first two).
 SIZES = (100, 1_000, 10_000, 100_000)
@@ -109,7 +116,7 @@ def _churn(engine, live, specs, steps: int, seed: int) -> float:
 def run_engine(kind: str, n_flows: int, churn_steps: int) -> dict:
     """Time one engine on one size; returns the series sub-entry."""
     capacities, specs, _clusters = build_workload(n_flows)
-    engine = make_engine(kind, capacities.__getitem__)
+    engine = ENGINES[kind](capacities.__getitem__)
     live = {}
     start = time.perf_counter()
     for flow in _flows(specs):

@@ -92,9 +92,8 @@ class FlitCostModel:
     #: event-coalesced credit flow and calendar scheduler, the flit backend
     #: executes ~1.7x fewer simulator events than the product suggests and
     #: finishes ~1.6x faster end to end, so each predicted unit is
-    #: re-weighted accordingly.  The weight is engine-independent: both
-    #: engines execute the same events, and their scheduler overheads differ
-    #: by less than the noise floor of these planning proxies.
+    #: re-weighted accordingly.  The weight is calibrated on the calendar
+    #: scheduler, the flit backend's only production engine.
     unit_cost: ClassVar[float] = 0.6
 
     #: Response-path events relative to request-path events (single-flit

@@ -1,22 +1,12 @@
 """Flow-level network backend: max-min fair-share bandwidth allocation."""
 
-from repro.model.flow.engine import (
-    ENGINE_KINDS,
-    ReferenceFairShareEngine,
-    SolverEngineError,
-    default_engine_kind,
-    make_engine,
-)
+from repro.model.flow.engine import ReferenceFairShareEngine
 from repro.model.flow.network import FlowNetwork
 from repro.model.flow.solver import FairShareSolver, FlowState
 
 __all__ = [
-    "ENGINE_KINDS",
     "FairShareSolver",
     "FlowNetwork",
     "FlowState",
     "ReferenceFairShareEngine",
-    "SolverEngineError",
-    "default_engine_kind",
-    "make_engine",
 ]

@@ -5,18 +5,23 @@ directly; it talks to an *engine* that owns the active flow set and decides
 how much work each re-solve actually performs.  Two implementations share
 the same API:
 
-``reference``
-    Pure-Python dict arithmetic (:class:`ReferenceFairShareEngine` wrapping
-    :class:`~repro.model.flow.solver.FairShareSolver`).  Every ``solve()``
-    recomputes every flow from scratch.  Kept as the executable
-    specification the vectorized engine is property-tested against, and as
-    the fallback when NumPy is unavailable.
-
 ``vectorized``
     :class:`~repro.model.flow.vectorized.VectorizedFairShareEngine` — flat
     NumPy arrays (CSR-style flow x link incidence, dense per-link capacity
     vector) plus *incremental* re-solves that only touch the connected
     component of the flow/link sharing graph whose membership changed.
+    The only production engine: every ``FlowNetwork`` builds one.
+
+``reference``
+    Pure-Python dict arithmetic (:class:`ReferenceFairShareEngine` wrapping
+    :class:`~repro.model.flow.solver.FairShareSolver`).  Every ``solve()``
+    recomputes every flow from scratch.  Kept as the executable
+    specification the vectorized engine is property-tested against; only
+    the tests and the benchmarks construct it.
+
+The two agree on every rate within an EPS-scaled tolerance, not bit for
+bit, so a replay whose completion times round rates to integer cycles can
+differ between them; stored results always come from ``vectorized``.
 
 Engine API (duck-typed; both classes implement it):
 
@@ -38,63 +43,9 @@ Engine API (duck-typed; both classes implement it):
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterator, List
 
 from repro.model.flow.solver import EPS, FairShareSolver, FlowState
-
-#: Environment variable overriding the flow-solver engine selection.
-SOLVER_ENV_VAR = "REPRO_FLOW_SOLVER"
-
-#: Engine names accepted by :func:`make_engine` / the env override.
-ENGINE_KINDS = ("reference", "vectorized")
-
-
-class SolverEngineError(RuntimeError):
-    """Unknown engine kind, or an engine whose dependencies are missing."""
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return False
-    return True
-
-
-def default_engine_kind() -> str:
-    """The engine used when none is requested explicitly.
-
-    ``REPRO_FLOW_SOLVER`` wins when set; otherwise ``vectorized`` whenever
-    NumPy imports, falling back to the pure-Python reference engine.
-    """
-    requested = os.environ.get(SOLVER_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested not in ENGINE_KINDS:
-            raise SolverEngineError(
-                f"{SOLVER_ENV_VAR}={requested!r} is not a known flow-solver "
-                f"engine (known: {', '.join(ENGINE_KINDS)})"
-            )
-        return requested
-    return "vectorized" if _numpy_available() else "reference"
-
-
-def make_engine(kind: str, capacity_of: Callable[[object], float]):
-    """Build a solver engine by name (``reference`` or ``vectorized``)."""
-    if kind == "reference":
-        return ReferenceFairShareEngine(capacity_of)
-    if kind == "vectorized":
-        if not _numpy_available():  # pragma: no cover - env dependent
-            raise SolverEngineError(
-                "the vectorized flow-solver engine requires numpy; install it "
-                "or select REPRO_FLOW_SOLVER=reference"
-            )
-        from repro.model.flow.vectorized import VectorizedFairShareEngine
-
-        return VectorizedFairShareEngine(capacity_of)
-    raise SolverEngineError(
-        f"unknown flow-solver engine {kind!r} (known: {', '.join(ENGINE_KINDS)})"
-    )
 
 
 def new_stats() -> Dict[str, int]:
@@ -182,12 +133,7 @@ class ReferenceFairShareEngine:
 
 
 __all__ = [
-    "ENGINE_KINDS",
     "EPS",
     "ReferenceFairShareEngine",
-    "SOLVER_ENV_VAR",
-    "SolverEngineError",
-    "default_engine_kind",
-    "make_engine",
     "new_stats",
 ]

@@ -43,13 +43,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.model.base import NetworkModel
-from repro.model.flow.engine import default_engine_kind, make_engine
 from repro.model.flow.solver import FairShareSolver, FlowState
+from repro.model.flow.vectorized import VectorizedFairShareEngine
 from repro.network.counters import NicCounters
 from repro.network.packet import Message, RdmaOp
 from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
-from repro.sim.engine import Event, Simulator, make_simulator
+from repro.sim.calendar import CalendarSimulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.probes import ProbeRecorder, ProbeSampler
@@ -273,7 +274,13 @@ class FlowLinkSampler(ProbeSampler):
 
 
 class FlowNetwork(NetworkModel):
-    """A Dragonfly system resolved at flow granularity."""
+    """A Dragonfly system resolved at flow granularity.
+
+    Events run on a :class:`~repro.sim.calendar.CalendarSimulator` unless
+    ``sim=`` injects another engine, and the flow set is always resolved by a
+    :class:`~repro.model.flow.vectorized.VectorizedFairShareEngine`; the
+    reference engines are test-only specs.
+    """
 
     backend_name = "flow"
 
@@ -282,10 +289,9 @@ class FlowNetwork(NetworkModel):
         config: Optional[SimulationConfig] = None,
         sim: Optional[Simulator] = None,
         streams: Optional[RandomStreams] = None,
-        solver: Optional[str] = None,
     ):
         self.config = config or SimulationConfig()
-        self.sim = sim or make_simulator()
+        self.sim = sim or CalendarSimulator()
         self.streams = streams or RandomStreams(self.config.seed)
         self.topology = DragonflyTopology(self.config.topology)
         self.sampler = PathSampler(self.topology, self.streams.stream("routing"))
@@ -301,11 +307,9 @@ class FlowNetwork(NetworkModel):
         self.delivered_messages = 0
 
         # -- fluid engine state ------------------------------------------------
-        #: Solver engine resolving the global flow set: ``vectorized``
-        #: (NumPy, incremental — the default when NumPy is available) or
-        #: ``reference`` (pure Python); see :mod:`repro.model.flow.engine`.
-        self._solver_kind = solver if solver is not None else default_engine_kind()
-        self._engine = make_engine(self._solver_kind, self._capacity_of)
+        #: Solver engine resolving the global flow set (NumPy, incremental);
+        #: see :mod:`repro.model.flow.engine` for the reference spec.
+        self._engine = VectorizedFairShareEngine(self._capacity_of)
         #: Small reference solver for the per-message solo solve in
         #: :meth:`send` — a handful of sub-flows, where plain dicts beat
         #: NumPy's setup cost.
@@ -659,8 +663,8 @@ class FlowNetwork(NetworkModel):
 
     @property
     def solver_kind(self) -> str:
-        """Which fair-share engine resolves the flow set (``vectorized``/``reference``)."""
-        return self._solver_kind
+        """Which fair-share engine resolves the flow set (``vectorized``)."""
+        return self._engine.kind
 
     @property
     def solver_stats(self) -> Dict[str, int]:

@@ -24,7 +24,8 @@ from repro.network.packet import Message, Packet, RdmaOp
 from repro.network.router import Router
 from repro.routing.modes import RoutingMode
 from repro.routing.ugal import UgalSelector
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.calendar import CalendarSimulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.probes import ProbeRecorder, ProbeSampler
@@ -119,7 +120,7 @@ class Network(NetworkModel):
         streams: Optional[RandomStreams] = None,
     ):
         self.config = config or SimulationConfig()
-        self.sim = sim or make_simulator()
+        self.sim = sim or CalendarSimulator()
         self.streams = streams or RandomStreams(self.config.seed)
         self.topology = DragonflyTopology(self.config.topology)
 

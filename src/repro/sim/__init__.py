@@ -1,7 +1,7 @@
 """Discrete-event simulation engines used by the network model.
 
-Two interchangeable engines implement the same (time, scheduling-order)
-execution contract with callback-style events:
+Two engines implement the same (time, scheduling-order) execution contract
+with callback-style events:
 
 * ``calendar`` — per-cycle FIFO buckets with a heap of distinct times,
   the default and only production engine (a flit simulation lands whole
@@ -11,8 +11,10 @@ execution contract with callback-style events:
   number), kept as the executable spec that ``calendar`` is proven
   event-for-event identical to.
 
-Select with ``REPRO_SIM_ENGINE=calendar|reference`` or
-:func:`make_simulator`; an unknown value raises :class:`SimEngineError`.
+Both network backends build a :class:`CalendarSimulator` unless a caller
+injects another engine through their ``sim=`` argument; ``reference`` runs
+only under the equivalence tests and the benchmarks.
+
 Everything in the network model (link traversal, credit returns, NIC
 injection) is expressed as scheduled callbacks, which keeps the per-event
 overhead low — important because a single large-message experiment
@@ -20,15 +22,7 @@ schedules hundreds of thousands of events.
 """
 
 from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import (
-    SIM_ENGINE_ENV_VAR,
-    SIM_ENGINE_KINDS,
-    Event,
-    SimEngineError,
-    Simulator,
-    default_engine_kind,
-    make_simulator,
-)
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -36,9 +30,4 @@ __all__ = [
     "Simulator",
     "CalendarSimulator",
     "RandomStreams",
-    "SIM_ENGINE_ENV_VAR",
-    "SIM_ENGINE_KINDS",
-    "SimEngineError",
-    "default_engine_kind",
-    "make_simulator",
 ]

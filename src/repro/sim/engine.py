@@ -17,27 +17,13 @@ hold arbitrarily many cancelled entries) on every call.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.telemetry.core import TELEMETRY
 
-#: Environment variable selecting the event-engine implementation.
-SIM_ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Known engine kinds, in preference order.  ``calendar`` is the bucketed
-#: calendar-queue engine that the flit backend uses by default;
-#: ``reference`` is the original binary-heap engine, kept as the executable
-#: spec that ``calendar`` is parity-tested against.
-SIM_ENGINE_KINDS = ("calendar", "reference")
-
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven into an invalid state."""
-
-
-class SimEngineError(RuntimeError):
-    """Raised when an unknown simulation engine is requested."""
 
 
 class Event:
@@ -94,7 +80,9 @@ class Simulator:
     10
     """
 
-    #: Which engine implementation this is (see :func:`make_simulator`).
+    #: Which engine implementation this is: this binary-heap engine is the
+    #: ``reference`` spec that the production
+    #: :class:`~repro.sim.calendar.CalendarSimulator` is parity-tested against.
     engine_kind = "reference"
 
     def __init__(self) -> None:
@@ -300,45 +288,3 @@ class Simulator:
         self._events_executed = 0
         self._live_events = 0
         self._stop_requested = False
-
-
-# -- engine selection ---------------------------------------------------------
-
-
-def default_engine_kind() -> str:
-    """The engine kind to use when none is requested explicitly.
-
-    ``REPRO_SIM_ENGINE`` overrides the built-in default (``calendar``); an
-    unknown value raises :class:`SimEngineError` rather than silently falling
-    back, so typos in CI configs are caught immediately.
-    """
-    requested = os.environ.get(SIM_ENGINE_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested not in SIM_ENGINE_KINDS:
-            raise SimEngineError(
-                f"unknown simulation engine {requested!r} (from "
-                f"{SIM_ENGINE_ENV_VAR}); known engines: {', '.join(SIM_ENGINE_KINDS)}"
-            )
-        return requested
-    return "calendar"
-
-
-def make_simulator(kind: Optional[str] = None) -> Simulator:
-    """Build a simulator of the requested (or default) engine kind.
-
-    Both engines honour the exact same (time, scheduling-order) execution
-    contract, so they are interchangeable; ``reference`` is kept as the
-    parity baseline for the equivalence suite in ``tests/test_flit_engine.py``.
-    """
-    if kind is None:
-        kind = default_engine_kind()
-    if kind == "reference":
-        return Simulator()
-    if kind == "calendar":
-        from repro.sim.calendar import CalendarSimulator
-
-        return CalendarSimulator()
-    raise SimEngineError(
-        f"unknown simulation engine {kind!r}; known engines: "
-        f"{', '.join(SIM_ENGINE_KINDS)}"
-    )

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.model.flow.network as flow_network
+import repro.network.network as flit_network
 from repro.config import SimulationConfig, TopologyConfig
+from repro.model.flow.engine import ReferenceFairShareEngine
 from repro.network.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -57,3 +60,19 @@ def simulator() -> Simulator:
 def streams() -> RandomStreams:
     """A deterministic random-stream registry."""
     return RandomStreams(12345)
+
+
+@pytest.fixture
+def reference_engines(monkeypatch):
+    """Build every network in the test on the reference engines.
+
+    Both backends construct their production engines by name, so swapping
+    the names swaps the engines: the heap :class:`Simulator` for
+    ``CalendarSimulator`` (flit and flow) and
+    :class:`ReferenceFairShareEngine` for ``VectorizedFairShareEngine``.
+    """
+    monkeypatch.setattr(flit_network, "CalendarSimulator", Simulator)
+    monkeypatch.setattr(flow_network, "CalendarSimulator", Simulator)
+    monkeypatch.setattr(
+        flow_network, "VectorizedFairShareEngine", ReferenceFairShareEngine
+    )

@@ -341,72 +341,6 @@ class TestResultBatching:
             loop.close()
 
 
-# -- simulation-engine propagation --------------------------------------------------
-
-class TestSimEnginePropagation:
-    """REPRO_SIM_ENGINE reaches spawned workers via the environment.
-
-    Mirrors the REPRO_INSTRUMENT inheritance: spawned workers start from the
-    coordinator's environment, and the worker's Network builds pick the
-    engine up per cell.  Byte-equality of the store under the reference
-    engine is asserted end to end below — but equality alone cannot catch a
-    propagation bug (the engines are event-for-event equivalent, so the
-    bytes match either way), which is why the environment handoff itself is
-    pinned first, and a stale engine name is shown to fail on the worker.
-    """
-
-    @staticmethod
-    def _flit_plan(name):
-        # A real network scenario: the sleepy scenarios never build a
-        # Network, so they would exercise nothing.
-        spec = RunSpec.make(
-            "pingpong-placement",
-            {"placement": "inter-nodes", "message_kib": 4, "noise": "none"},
-        )
-        return CampaignPlan(name=name, specs=(spec,))
-
-    def test_worker_env_carries_engine(self, monkeypatch):
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        coordinator = Coordinator(_sleepy_plan(1), options=_options(workers=1))
-        assert coordinator._worker_env()[SIM_ENGINE_ENV_VAR] == "reference"
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        """A stale engine name (the retired ``batch``) fails the cell loudly."""
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "batch")
-        result = run_distributed(
-            self._flit_plan("stale-engine"),
-            options=_options(workers=1, preload=None),
-        )
-        assert result.failed == 1
-        assert "unknown simulation engine 'batch'" in result.records[0].error
-
-    def test_store_bytes_identical_under_reference_engine(self, tmp_path, monkeypatch):
-        """A real flit cell run on a spawned worker under reference matches the default."""
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        plan = self._flit_plan("engine-bytes")
-        stores = {}
-        for name in ("default", "reference"):
-            if name == "default":
-                monkeypatch.delenv(SIM_ENGINE_ENV_VAR, raising=False)
-            else:
-                monkeypatch.setenv(SIM_ENGINE_ENV_VAR, name)
-            stores[name] = ArtifactStore(tmp_path / name)
-            result = run_distributed(
-                plan, store=stores[name], options=_options(workers=1, preload=None)
-            )
-            assert result.failed == 0 and result.executed == 1
-        spec = plan.specs[0]
-        assert (
-            stores["default"].result_path(spec).read_bytes()
-            == stores["reference"].result_path(spec).read_bytes()
-        )
-
-
 class TestInstrumentPropagation:
     """Instrumentation enabled in the coordinator reaches spawned workers.
 

@@ -1,14 +1,14 @@
-"""Flit-engine suite: selection, calendar-queue semantics, and equivalence.
+"""Flit-engine suite: construction, calendar-queue semantics, and equivalence.
 
-Covers engine selection via ``REPRO_SIM_ENGINE`` (unknown kinds, including
-the retired ``batch`` engine, fail loudly), unit tests of the
-calendar-queue scheduler's ordering/cancel/resume semantics, a randomized
-calendar-vs-reference equivalence suite (seeded scenarios across routing
-modes and noise levels, asserting identical event counts, counter
-snapshots and message timelines — the flit analogue of
-``tests/test_flow_solver.py``), byte-identical campaign results across
-engines, equivalence on wide UGAL candidate sets, and the ``queue_depth``
-gauge on ``Simulator.run`` telemetry spans.
+Covers which engine a network builds (``calendar``, unless ``sim=``
+injects one), unit tests of the calendar-queue scheduler's
+ordering/cancel/resume semantics, a randomized calendar-vs-reference
+equivalence suite (seeded scenarios across routing modes and noise levels,
+asserting identical event counts, counter snapshots and message timelines —
+the flit analogue of ``tests/test_flow_solver.py``), byte-identical
+campaign results across engines (flit and flow), equivalence on wide UGAL
+candidate sets, and the ``queue_depth`` gauge on ``Simulator.run``
+telemetry spans.
 """
 
 from __future__ import annotations
@@ -21,22 +21,18 @@ import pytest
 
 from repro.campaign import ensure_builtin_scenarios
 from repro.campaign.executor import execute_spec
-from repro.campaign.plan import RunSpec
+from repro.campaign.plan import RunSpec, plan_campaign
 from repro.config import SimulationConfig
+from repro.model.flow.network import FlowNetwork
 from repro.network.network import Network
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
 from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import (
-    SIM_ENGINE_ENV_VAR,
-    SIM_ENGINE_KINDS,
-    SimEngineError,
-    SimulationError,
-    Simulator,
-    default_engine_kind,
-    make_simulator,
-)
+from repro.sim.engine import SimulationError, Simulator
 from repro.telemetry import capture, disable, enable
+
+#: The production scheduler and its executable spec, by engine name.
+SIM_ENGINES = {"calendar": CalendarSimulator, "reference": Simulator}
 
 
 # -- engine selection ---------------------------------------------------------------
@@ -44,52 +40,24 @@ from repro.telemetry import capture, disable, enable
 
 class TestEngineSelection:
     def test_known_kinds(self):
-        assert SIM_ENGINE_KINDS == ("calendar", "reference")
+        for name, cls in SIM_ENGINES.items():
+            assert cls.engine_kind == name
 
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV_VAR, raising=False)
-        assert default_engine_kind() == "calendar"
-        assert make_simulator().engine_kind == "calendar"
+    def test_default_is_calendar(self):
+        assert type(Network(SimulationConfig.tiny()).sim) is CalendarSimulator
+        assert type(FlowNetwork(SimulationConfig.tiny()).sim) is CalendarSimulator
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert default_engine_kind() == "reference"
-        assert type(make_simulator()) is Simulator
+    def test_network_uses_selected_engine(self, reference_engines):
+        """The ``reference_engines`` fixture reaches both backends' constructors."""
+        assert type(Network(SimulationConfig.tiny()).sim) is Simulator
+        flow = FlowNetwork(SimulationConfig.tiny())
+        assert type(flow.sim) is Simulator
+        assert flow.solver_kind == "reference"
 
-    def test_env_is_normalized(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "  Calendar ")
-        assert default_engine_kind() == "calendar"
-
-    def test_env_invalid_raises(self, monkeypatch):
-        # "batch" is a retired engine: a stale setting must fail loudly
-        # rather than quietly run on the default engine.
-        for kind in ("warp-drive", "batch"):
-            monkeypatch.setenv(SIM_ENGINE_ENV_VAR, kind)
-            with pytest.raises(SimEngineError, match=kind):
-                default_engine_kind()
-            with pytest.raises(SimEngineError, match=kind):
-                make_simulator()
-
-    def test_explicit_kind_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
-        assert make_simulator("reference").engine_kind == "reference"
-
-    def test_unknown_explicit_kind_raises(self):
-        for kind in ("splay-tree", "batch"):
-            with pytest.raises(SimEngineError, match=kind):
-                make_simulator(kind)
-
-    def test_network_uses_selected_engine(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert Network(SimulationConfig.tiny()).sim.engine_kind == "reference"
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
-        assert isinstance(Network(SimulationConfig.tiny()).sim, CalendarSimulator)
-
-    def test_explicit_sim_overrides_env(self, monkeypatch):
-        """``Network(sim=...)`` wins over REPRO_SIM_ENGINE."""
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
-        network = Network(SimulationConfig.tiny(), sim=make_simulator("reference"))
-        assert network.sim.engine_kind == "reference"
+    def test_explicit_sim_overrides_env(self, reference_engines):
+        """``Network(sim=...)`` wins over the engine the environment selects."""
+        network = Network(SimulationConfig.tiny(), sim=CalendarSimulator())
+        assert network.sim.engine_kind == "calendar"
 
 
 # -- calendar-queue scheduler semantics ---------------------------------------------
@@ -302,7 +270,7 @@ def _run_scenario(engine: str, seed: int) -> dict:
     """
     rng = random.Random(seed)
     config = SimulationConfig.small(seed=1000 + seed)
-    network = Network(config, sim=make_simulator(engine))
+    network = Network(config, sim=SIM_ENGINES[engine]())
     num_nodes = network.num_nodes
     noise_level = rng.choice(NOISE)
     sends = []
@@ -373,13 +341,20 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", range(24))
     def test_equivalent_scenario(self, seed):
         results = {}
-        for engine in SIM_ENGINE_KINDS:
+        for engine in SIM_ENGINES:
             result = _run_scenario(engine, seed)
             assert result.pop("engine_kind") == engine
             results[engine] = result
         baseline = results["reference"]
         for engine, result in results.items():
             assert result == baseline, f"{engine} diverged from reference"
+
+
+def _payload_blob(spec: RunSpec) -> bytes:
+    """The canonical bytes the store would hold for ``spec``'s payload."""
+    ensure_builtin_scenarios()
+    payload, _report, _elapsed = execute_spec(spec)
+    return json.dumps(payload, sort_keys=True).encode()
 
 
 class TestRunSpecStoreEquivalence:
@@ -390,24 +365,40 @@ class TestRunSpecStoreEquivalence:
         "params": {"placement": "inter-nodes", "message_kib": 4, "noise": "none"},
     }
 
-    def _payload(self, monkeypatch, engine: str) -> dict:
-        ensure_builtin_scenarios()
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
+    def test_identical_store_payloads(self, request):
         spec = RunSpec.make(self.SPEC["scenario"], self.SPEC["params"])
-        payload, _report, _elapsed = execute_spec(spec)
-        return payload
+        default = _payload_blob(spec)
+        request.getfixturevalue("reference_engines")
+        assert _payload_blob(spec) == default, "payloads diverged across engines"
 
-    def test_identical_store_payloads(self, monkeypatch):
-        blobs = {
-            engine: json.dumps(
-                self._payload(monkeypatch, engine), sort_keys=True
-            ).encode()
-            for engine in SIM_ENGINE_KINDS
-        }
-        assert len(set(blobs.values())) == 1, (
-            "store payloads diverged across engines: "
-            + ", ".join(sorted(blobs))
+
+class TestFlowPayloadParity:
+    """Flow ping-pong cells store the same bytes on the reference engines.
+
+    ``cluster-trace`` is left out: the two solvers round rates differently,
+    which shifts integer completion cycles.
+    """
+
+    @staticmethod
+    def _rounding_sensitive(spec: RunSpec) -> bool:
+        # The same rounding moves one of the six inter-nodes ping-pong
+        # samples under light noise by a cycle.
+        params = spec.params_dict
+        return (
+            params.get("noise") == "light" and params.get("placement") == "inter-nodes"
         )
+
+    @pytest.mark.parametrize("scenario", ["pingpong-placement", "routing-mode-pingpong"])
+    def test_identical_flow_payloads(self, scenario, request):
+        ensure_builtin_scenarios()
+        specs = [
+            spec
+            for spec in plan_campaign([scenario], backend="flow").specs
+            if not self._rounding_sensitive(spec)
+        ]
+        default = [_payload_blob(spec) for spec in specs]
+        request.getfixturevalue("reference_engines")
+        assert [_payload_blob(spec) for spec in specs] == default
 
 
 class TestVectorizedWideDecisions:
@@ -421,7 +412,7 @@ class TestVectorizedWideDecisions:
         config = SimulationConfig.small(seed=77).with_routing(
             minimal_candidates=4, nonminimal_candidates=4
         )
-        network = Network(config, sim=make_simulator(engine))
+        network = Network(config, sim=SIM_ENGINES[engine]())
         rng = random.Random(909)
         messages = []
         clock = 0
@@ -460,9 +451,9 @@ class TestSimRunTelemetry:
         yield
         disable()
 
-    @pytest.mark.parametrize("engine", SIM_ENGINE_KINDS)
+    @pytest.mark.parametrize("engine", list(SIM_ENGINES))
     def test_run_span_reports_live_queue_depth(self, engine):
-        network = Network(SimulationConfig.tiny(), sim=make_simulator(engine))
+        network = Network(SimulationConfig.tiny(), sim=SIM_ENGINES[engine]())
         message = network.send(0, network.num_nodes - 1, 1024)
         enable()
         with capture() as cap:

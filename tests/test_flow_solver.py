@@ -13,17 +13,16 @@ import random
 import pytest
 
 from repro.config import SimulationConfig
-from repro.model.flow.engine import (
-    ENGINE_KINDS,
-    ReferenceFairShareEngine,
-    SolverEngineError,
-    default_engine_kind,
-    make_engine,
-)
+from repro.model.flow.engine import ReferenceFairShareEngine
 from repro.model.flow.network import FlowNetwork
 from repro.model.flow.solver import EPS, FairShareSolver, FlowState
+from repro.model.flow.vectorized import VectorizedFairShareEngine
 
-np = pytest.importorskip("numpy")
+#: The production engine and its executable spec, by engine name.
+FLOW_ENGINES = {
+    "reference": ReferenceFairShareEngine,
+    "vectorized": VectorizedFairShareEngine,
+}
 
 #: Relative tolerance for cross-engine rate comparisons.
 RATE_RTOL = 1e-6
@@ -53,39 +52,22 @@ def _random_instance(rng, nlinks=None, nflows=None):
     return capacities, specs
 
 
+def _flow_network(config: SimulationConfig, kind: str) -> FlowNetwork:
+    """A flow network whose solver engine is swapped for ``kind`` before use."""
+    network = FlowNetwork(config)
+    network._engine = FLOW_ENGINES[kind](network._capacity_of)
+    return network
+
+
 class TestEngineSelection:
     def test_known_kinds(self):
-        assert ENGINE_KINDS == ("reference", "vectorized")
+        for name, cls in FLOW_ENGINES.items():
+            assert cls(lambda key: 1.0).kind == name
 
-    def test_make_engine_kinds(self):
-        ref = make_engine("reference", lambda key: 1.0)
-        vec = make_engine("vectorized", lambda key: 1.0)
-        assert ref.kind == "reference"
-        assert vec.kind == "vectorized"
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(SolverEngineError, match="unknown flow-solver engine"):
-            make_engine("quantum", lambda key: 1.0)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
-        assert default_engine_kind() == "reference"
+    def test_default_is_vectorized_with_numpy(self):
         network = FlowNetwork(SimulationConfig.tiny())
-        assert network.solver_kind == "reference"
-
-    def test_env_override_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "nope")
-        with pytest.raises(SolverEngineError, match="REPRO_FLOW_SOLVER"):
-            default_engine_kind()
-
-    def test_default_is_vectorized_with_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_SOLVER", raising=False)
-        assert default_engine_kind() == "vectorized"
-
-    def test_network_solver_arg(self):
-        for kind in ENGINE_KINDS:
-            network = FlowNetwork(SimulationConfig.tiny(), solver=kind)
-            assert network.solver_kind == kind
+        assert type(network._engine) is VectorizedFairShareEngine
+        assert network.solver_kind == "vectorized"
 
 
 class TestSolverEdgeCases:
@@ -96,7 +78,7 @@ class TestSolverEdgeCases:
         reference = FairShareSolver(capacities.__getitem__)
         ref_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
         reference.solve(ref_flows)
-        engine = make_engine("vectorized", capacities.__getitem__)
+        engine = VectorizedFairShareEngine(capacities.__getitem__)
         vec_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
         for flow in vec_flows:
             engine.add_flow(flow)
@@ -138,7 +120,7 @@ class TestSolverEdgeCases:
         assert solver.completion_horizon([moving, stuck]) == pytest.approx(10.0)
         assert solver.completion_horizon([stuck]) == float("inf")
 
-        engine = make_engine("vectorized", lambda key: 1.0)
+        engine = VectorizedFairShareEngine(lambda key: 1.0)
         m2 = FlowState(0, ("a",), 10.0)
         engine.add_flow(m2)
         assert engine.completion_horizon() == float("inf")  # not yet solved
@@ -146,7 +128,7 @@ class TestSolverEdgeCases:
         assert engine.completion_horizon() == pytest.approx(10.0)
 
     def test_single_flow_fast_path(self):
-        engine = make_engine("vectorized", {"a": 2.0, "b": 0.5}.__getitem__)
+        engine = VectorizedFairShareEngine({"a": 2.0, "b": 0.5}.__getitem__)
         flow = FlowState(0, ("a", "b"), 10.0, cap=5.0)
         engine.add_flow(flow)
         engine.solve()
@@ -154,7 +136,7 @@ class TestSolverEdgeCases:
         # The fast path must short-circuit: exactly one fill "round".
         assert engine.stats["rounds"] == 1
         capped = FlowState(1, ("c",), 10.0, cap=0.25)
-        engine2 = make_engine("vectorized", {"c": 2.0}.__getitem__)
+        engine2 = VectorizedFairShareEngine({"c": 2.0}.__getitem__)
         engine2.add_flow(capped)
         engine2.solve()
         assert engine2.rate_of(capped) == pytest.approx(0.25)
@@ -166,7 +148,7 @@ class TestSolverEdgeCases:
         reference = FairShareSolver(capacities.__getitem__)
         ref_flow = FlowState(0, ("a", "a"), 10.0)
         reference.solve([ref_flow])
-        engine = make_engine("vectorized", capacities.__getitem__)
+        engine = VectorizedFairShareEngine(capacities.__getitem__)
         vec_flow = FlowState(0, ("a", "a"), 10.0)
         engine.add_flow(vec_flow)
         engine.solve()
@@ -174,7 +156,7 @@ class TestSolverEdgeCases:
         assert engine.rate_of(vec_flow) == pytest.approx(0.5)
 
     def test_drained_syncs_attributes(self):
-        engine = make_engine("vectorized", lambda key: 1.0)
+        engine = VectorizedFairShareEngine(lambda key: 1.0)
         flow = FlowState(0, ("a",), 5.0)
         engine.add_flow(flow)
         engine.solve()
@@ -185,7 +167,7 @@ class TestSolverEdgeCases:
         assert flow.rate == pytest.approx(1.0)
 
     def test_remove_flow_releases_bandwidth(self):
-        engine = make_engine("vectorized", lambda key: 1.0)
+        engine = VectorizedFairShareEngine(lambda key: 1.0)
         first = FlowState(0, ("a",), 10.0)
         second = FlowState(1, ("a",), 10.0)
         engine.add_flow(first)
@@ -206,7 +188,7 @@ class TestSolverEdgeCases:
         reference.solve()
         assert ref_flow.rate == pytest.approx(2.0)
 
-        engine = make_engine("vectorized", lambda key: 1.0)
+        engine = VectorizedFairShareEngine(lambda key: 1.0)
         vec_flow = FlowState(0, (), 10.0, cap=2.0)
         engine.add_flow(vec_flow)
         engine.solve()
@@ -214,7 +196,7 @@ class TestSolverEdgeCases:
         assert engine.completion_horizon() == pytest.approx(5.0)
 
     def test_solve_without_changes_is_skipped(self):
-        engine = make_engine("vectorized", lambda key: 1.0)
+        engine = VectorizedFairShareEngine(lambda key: 1.0)
         engine.add_flow(FlowState(0, ("a",), 10.0))
         engine.solve()
         before = dict(engine.stats)
@@ -234,7 +216,7 @@ class TestReferenceVectorizedEquivalence:
             reference = FairShareSolver(capacities.__getitem__)
             ref_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
             reference.solve(ref_flows)
-            engine = make_engine("vectorized", capacities.__getitem__)
+            engine = VectorizedFairShareEngine(capacities.__getitem__)
             vec_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
             for flow in vec_flows:
                 engine.add_flow(flow)
@@ -247,7 +229,7 @@ class TestReferenceVectorizedEquivalence:
         solve after every membership change."""
         rng = random.Random(seed)
         capacities = {f"l{i}": rng.choice([0.5, 1.0, 3.0]) for i in range(30)}
-        engine = make_engine("vectorized", capacities.__getitem__)
+        engine = VectorizedFairShareEngine(capacities.__getitem__)
         reference = FairShareSolver(capacities.__getitem__)
         live = {}
         next_id = 0
@@ -277,7 +259,7 @@ class TestReferenceVectorizedEquivalence:
     def test_disjoint_components_solved_independently(self):
         """Flows in untouched components keep their rates bit-identical."""
         capacities = {"a": 1.0, "b": 1.0}
-        engine = make_engine("vectorized", capacities.__getitem__)
+        engine = VectorizedFairShareEngine(capacities.__getitem__)
         left = [FlowState(i, ("a",), 10.0) for i in range(3)]
         right = [FlowState(10 + i, ("b",), 10.0) for i in range(2)]
         for flow in left + right:
@@ -311,7 +293,7 @@ class TestNetworkEngineParity:
     """The same simulation must produce identical timelines on both engines."""
 
     def _run(self, kind: str):
-        network = FlowNetwork(SimulationConfig.tiny(seed=3), solver=kind)
+        network = _flow_network(SimulationConfig.tiny(seed=3), kind)
         events = []
         for src in (0, 1, 2, 3):
             network.send(
@@ -334,7 +316,7 @@ class TestNetworkEngineParity:
         assert ref[3] == pytest.approx(vec[3], rel=1e-9)
 
     def test_same_cycle_submissions_coalesce_to_one_solve(self):
-        network = FlowNetwork(SimulationConfig.tiny(), solver="vectorized")
+        network = FlowNetwork(SimulationConfig.tiny())
         for src in range(4):
             network.send(src, network.num_nodes - 1 - src, 8192)
         # Drain only cycle 0: all four submissions resolve in ONE solve.
@@ -343,7 +325,7 @@ class TestNetworkEngineParity:
 
     def test_completions_and_submissions_coalesce(self):
         """A completion plus a triggered same-cycle send = one more solve."""
-        network = FlowNetwork(SimulationConfig.tiny(), solver="vectorized")
+        network = FlowNetwork(SimulationConfig.tiny())
         sent = []
 
         def chain(message):
@@ -429,7 +411,7 @@ class TestSchedulerDrivenChurn:
             seed=5,
             backend="flow",
         )
-        network = FlowNetwork(config, solver=kind)
+        network = _flow_network(config, kind)
         checker = _CheckingEngine(network._engine, network._capacity_of)
         network._engine = checker
         trace = JobTrace.synthetic(5, 12, load="heavy", max_nodes=8)
@@ -437,7 +419,7 @@ class TestSchedulerDrivenChurn:
         result = scheduler.replay()
         return checker, scheduler, result
 
-    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @pytest.mark.parametrize("kind", list(FLOW_ENGINES))
     def test_every_resolve_matches_from_scratch(self, kind):
         checker, scheduler, result = self._replay_checked(kind)
         assert checker.checks > 20  # the replay actually churned

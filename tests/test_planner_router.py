@@ -4,8 +4,8 @@ Covers the cost/fidelity layer (:mod:`repro.model.cost` + the registry
 hooks in :mod:`repro.model.base`), the plan-time backend router
 (:mod:`repro.campaign.router`), the SPEC_FORMAT 3 migration rules, the
 executor's flit-audit post-pass and the CLI surface (``--backend auto``,
-``--budget``, ``--audit-fraction``).  The whole module runs under both
-flow solver engines (CI sets ``REPRO_FLOW_SOLVER=reference``).
+``--budget``, ``--audit-fraction``).  Everything runs on the production
+engines; the cost models are checked to be unmoved by the reference ones.
 """
 
 from __future__ import annotations
@@ -154,28 +154,29 @@ class TestCostModels:
         with pytest.raises(ValueError, match="non-negative"):
             CostEstimate(backend="flit", work=-1.0)
 
-    def test_engine_switch_never_reorders_backends(self, monkeypatch):
+    def test_engine_switch_never_reorders_backends(self, request):
         """Cost estimates, and so backend routing, are engine-independent.
 
-        The engines are event-for-event equivalent and share one per-event
-        weight, so switching ``REPRO_SIM_ENGINE`` must leave every estimate
+        Estimates depend on the workload profile alone, so building the
+        networks on the reference engines must leave every estimate
         untouched; flow work stays orders of magnitude below flit on
         message-heavy cells either way.
         """
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR, SIM_ENGINE_KINDS
-
         profile = WorkloadProfile(
             nodes=24, routers=12, links=120, messages=10_000.0,
             flits_per_message=80.0, avg_hops=5.0, concurrent_flows=8.0,
         )
-        estimates = set()
-        for engine in SIM_ENGINE_KINDS:
-            monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
-            flit = FlitCostModel().estimate_cost(profile).work
-            flow = FlowCostModel().estimate_cost(profile).work
-            assert flit > 10.0 * flow
-            estimates.add((flit, flow))
-        assert len(estimates) == 1, estimates
+
+        def estimates():
+            return (
+                FlitCostModel().estimate_cost(profile).work,
+                FlowCostModel().estimate_cost(profile).work,
+            )
+
+        flit, flow = estimates()
+        assert flit > 10.0 * flow
+        request.getfixturevalue("reference_engines")
+        assert estimates() == (flit, flow)
 
 
 class TestProfiles:

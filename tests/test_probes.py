@@ -177,8 +177,9 @@ class TestEngineNeutrality:
     """Probes on must never change a payload, on any engine."""
 
     @pytest.mark.parametrize("engine", SIM_ENGINES)
-    def test_flit_payload_byte_identical(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    def test_flit_payload_byte_identical(self, engine, request):
+        if engine == "reference":
+            request.getfixturevalue("reference_engines")
         spec = _spec("flit")
         plain = run_cell(spec)
         enable("spans")
@@ -197,8 +198,9 @@ class TestEngineNeutrality:
         assert snapshot["decisions_sampled"] > 0
 
     @pytest.mark.parametrize("solver", FLOW_SOLVERS)
-    def test_flow_payload_byte_identical(self, solver, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", solver)
+    def test_flow_payload_byte_identical(self, solver, request):
+        if solver == "reference":
+            request.getfixturevalue("reference_engines")
         spec = _spec("flow")
         plain = run_cell(spec)
         enable("spans,probes")

@@ -1,12 +1,15 @@
-"""Flit vs. flow backend: wall-clock and events/sec on the same scenario.
+"""Flit vs. flow backend: CPU time and events/sec on the same scenario.
 
 The benchmark scenario is a noisy inter-group ping-pong (the Figure-3/7
 shape): a two-node job exchanging 16 KiB messages while background traffic
 crosses the same groups.  Both backends run the identical scenario — same
 :class:`~repro.config.SimulationConfig`, allocation, noise level and
-iteration count — so the comparison isolates the substrate.
-
-Besides the pytest-benchmark timing, a JSON artifact with the series is
+iteration count — so the comparison isolates the substrate.  Construction
+(fabric wiring, noise placement, job setup) stays outside the measured
+region, so ``events_per_sec`` and the speedup reflect substrate
+throughput.  Timing follows the shared protocol of
+``benchmarks/timing.py`` (``REPEATS`` interleaved warm rounds, min of
+process CPU, quartiles recorded).  A JSON artifact with the series is
 written to ``benchmarks/results/BENCH_backends.json``::
 
     python -m pytest benchmarks/bench_backends.py -q -s
@@ -20,15 +23,19 @@ JSON per PR so regressions in either backend are visible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import hashlib
 import json
 import pathlib
 import sys
-import time
 
 if __package__ in (None, ""):  # `python benchmarks/bench_backends.py`
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import emit
+from benchmarks.timing import Region, interleave, write_result
 from repro.experiments.harness import ExperimentScale
 from repro.model import build_network_model
 from repro.mpi.job import MpiJob
@@ -37,79 +44,102 @@ from repro.workloads.microbench import PingPongBenchmark
 
 BACKENDS = ("flit", "flow")
 
+#: Interleaved timing rounds; every backend's time is its minimum.
+REPEATS = 5
+
 #: The acceptance bar: the flow backend must beat flit by at least this
 #: factor on the benchmark scenario (it typically wins by 50-100x).
 MIN_FLOW_SPEEDUP = 10.0
 
 
-def run_backend(backend: str, scale: ExperimentScale) -> dict:
-    """Run the benchmark scenario on one backend; returns the series entry.
+def run_backend(backend: str, scale: ExperimentScale, region: Region, sim=None) -> dict:
+    """Run the scenario once on one backend, timing the workload in ``region``.
 
-    Construction (fabric wiring, noise placement, job setup) is timed
-    separately from the measured region so ``events_per_sec`` and the
-    speedup reflect substrate throughput, not object construction.
+    ``sim`` injects an event engine (the flit-engine bench passes each
+    engine kind).  Returns the observables plus their digest, which covers
+    everything visible from outside: event count, simulated cycles, the
+    per-iteration timeline, both endpoint NIC counter blocks and, on flit,
+    the selector's decision tallies.  Two engines that execute the same
+    events in the same order produce identical digests.
     """
-    config = scale.simulation_config().with_backend(backend)
-    build_start = time.perf_counter()
-    network = build_network_model(config)
+    network = build_network_model(
+        scale.simulation_config().with_backend(backend), sim=sim
+    )
     allocation = [0, network.num_nodes - 1]
     noise = BackgroundTraffic.for_level(
         network, allocation, NoiseLevel.MODERATE, name="bench-noise"
     )
     if noise is not None:
         noise.start()
+    # The name seeds the job's random streams, so it must not depend on the
+    # engine for runs to be comparable.
     job = MpiJob(network, allocation, name=f"bench-{backend}")
     workload = PingPongBenchmark(
         size_bytes=scale.scaled_size(16 * 1024),
         iterations=scale.pingpong_repetitions,
         warmup=1,
     )
-    start = time.perf_counter()
-    build_s = start - build_start
-    result = workload.run(job)
-    if noise is not None:
-        noise.stop()
-    elapsed = time.perf_counter() - start
+    with region:
+        result = workload.run(job)
+        if noise is not None:
+            noise.stop()
+    observable = {
+        "events": network.sim.events_executed,
+        "simulated_cycles": network.sim.now,
+        "iteration_times": list(result.iteration_times),
+        "counters": [
+            dataclasses.asdict(network.nic(node).counters.snapshot())
+            for node in allocation
+        ],
+    }
+    if backend == "flit":  # the flow backend has no UGAL selector
+        selector = network.selector
+        observable["decisions"] = [
+            selector.decisions,
+            selector.minimal_decisions,
+            selector.nonminimal_decisions,
+        ]
     counters = network.nic(allocation[0]).counters
     return {
-        "backend": backend,
-        "build_s": round(build_s, 4),
-        "wall_s": round(elapsed, 4),
-        "events": network.sim.events_executed,
-        "events_per_sec": round(network.sim.events_executed / elapsed, 1),
-        "simulated_cycles": network.sim.now,
+        "events": observable["events"],
+        "simulated_cycles": observable["simulated_cycles"],
         "median_iteration_cycles": result.median_time(),
         "stall_ratio": round(counters.stall_ratio, 4),
         "avg_packet_latency": round(counters.avg_packet_latency, 1),
+        "digest": hashlib.sha256(
+            json.dumps(observable, sort_keys=True).encode()
+        ).hexdigest(),
     }
 
 
 def measure_backends(scale: ExperimentScale) -> dict:
-    """Run the scenario on every backend; returns the JSON payload."""
-    series = [run_backend(backend, scale) for backend in BACKENDS]
-    by_name = {entry["backend"]: entry for entry in series}
-    speedup = by_name["flit"]["wall_s"] / max(1e-9, by_name["flow"]["wall_s"])
+    """Time the scenario on every backend; returns the JSON payload."""
+    contenders = {b: functools.partial(run_backend, b, scale) for b in BACKENDS}
+    timed = interleave(contenders, REPEATS)
+    series = []
+    for backend, runs in timed.items():
+        entry = {"backend": backend, **runs.results[0]}
+        entry["events_per_sec"] = round(entry["events"] / max(1e-9, runs.cpu.min), 1)
+        series.append({**entry, **runs.to_json()})
+    speedup = timed["flit"].cpu.min / max(1e-9, timed["flow"].cpu.min)
     return {
         "benchmark": "backends",
         "scale": scale.name,
         "scenario": "noisy inter-group 16 KiB ping-pong",
+        "repeats": REPEATS,
         "flow_speedup_vs_flit": round(speedup, 2),
         "series": series,
     }
 
 
-def _write_json(payload: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / "BENCH_backends.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
 def _render(payload: dict) -> str:
-    lines = [f"backend comparison — {payload['scenario']} ({payload['scale']} scale)"]
+    lines = [
+        f"backend comparison — {payload['scenario']} ({payload['scale']} scale, "
+        f"min of {payload['repeats']} interleaved runs, process CPU)"
+    ]
     for entry in payload["series"]:
         lines.append(
-            f"  {entry['backend']:4s}: {entry['wall_s']:8.3f} s wall, "
+            f"  {entry['backend']:4s}: {entry['cpu_s']['min']:8.3f} s CPU, "
             f"{entry['events']:8d} events ({entry['events_per_sec']:>12.1f} ev/s), "
             f"median {entry['median_iteration_cycles']:.0f} cycles"
         )
@@ -117,13 +147,20 @@ def _render(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _assert_bars(payload: dict) -> None:
+    assert {entry["backend"] for entry in payload["series"]} == set(BACKENDS)
+    assert payload["flow_speedup_vs_flit"] >= MIN_FLOW_SPEEDUP, (
+        f"flow backend regressed: only {payload['flow_speedup_vs_flit']}x "
+        f"faster than flit (bar: {MIN_FLOW_SPEEDUP}x)"
+    )
+
+
 def test_backend_throughput(benchmark, scale, results_dir):
     """Same scenario on flit vs flow; JSON emitted for the perf trajectory."""
     payload = benchmark.pedantic(measure_backends, args=(scale,), rounds=1, iterations=1)
-    _write_json(payload, results_dir)
+    write_result("backends", payload)
     emit(results_dir, "backends", _render(payload))
-    assert {entry["backend"] for entry in payload["series"]} == set(BACKENDS)
-    assert payload["flow_speedup_vs_flit"] >= MIN_FLOW_SPEEDUP
+    _assert_bars(payload)
 
 
 if __name__ == "__main__":
@@ -138,6 +175,7 @@ if __name__ == "__main__":
         ExperimentScale.smoke() if args.smoke else ExperimentScale.from_env()
     )
     result = measure_backends(bench_scale)
-    path = _write_json(result, RESULTS_DIR)
+    path = write_result("backends", result)
     print(_render(result))
     print(f"wrote {path}")
+    _assert_bars(result)

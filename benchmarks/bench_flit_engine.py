@@ -20,14 +20,12 @@ Measurements on the ``bench_backends`` scenario (noisy inter-group
    with a notice; any *other* rebuild failure raises loudly instead of
    silently writing ``null``.
 
-Timing protocol (the one ``bench_instrument_overhead.py`` uses): process
-CPU time (``time.process_time``) of the measured region only, ``REPEATS``
-interleaved rounds whose contender order flips every round (so drift
-cannot systematically land on one contender), and the minimum per
-contender — ambient noise can only *inflate* a sample, so the minimum is
-the least-disturbed one.  Every contender, the seed included, runs the
-scenario once untimed first, so all are compared warm.  Each contender's
-samples and spread go into the JSON artifact
+Every contender runs the scenario through ``bench_backends.run_backend``
+(its engine injected with ``sim=``) and is timed by the shared protocol of
+``benchmarks/timing.py``: ``REPEATS`` interleaved warm rounds, min of
+process CPU of the measured region, quartiles recorded.  The seed tree
+times its own measured region in a fresh interpreter, after one untimed
+warm-up run there, and reports it.  The JSON artifact is
 ``benchmarks/results/BENCH_flit_engine.json``::
 
     python -m pytest benchmarks/bench_flit_engine.py -q -s
@@ -38,29 +36,24 @@ samples and spread go into the JSON artifact
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import gc
-import hashlib
+import functools
 import json
 import os
 import pathlib
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 if __package__ in (None, ""):  # `python benchmarks/bench_flit_engine.py`
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.bench_backends import run_backend
+from benchmarks.conftest import emit
+from benchmarks.timing import Region, interleave, write_result
 from repro.experiments.harness import ExperimentScale
-from repro.model import build_network_model
-from repro.mpi.job import MpiJob
-from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.sim.calendar import CalendarSimulator
 from repro.sim.engine import Simulator
-from repro.workloads.microbench import PingPongBenchmark
 
 #: The pre-optimization tree the engine work started from (kept runnable
 #: from git history so the speedup baseline is measured, not remembered).
@@ -87,79 +80,26 @@ MIN_SEED_SPEEDUP = 1.5
 MIN_ENGINE_SPEEDUP = 0.9
 
 #: The seed-tree side of the comparison: the seed's own scenario runner
-#: (``bench_backends.run_backend``, the same scenario and measured region as
-#: :func:`run_flit`), with that module's clock switched to process CPU time
-#: and one untimed warm-up run.
+#: (``bench_backends.run_backend``, the same scenario and measured region),
+#: its clock swapped for one that marks process CPU and wall time, run once
+#: untimed and then once measured.
 _SEED_SCRIPT = """
 import gc, json, time, types
 import benchmarks.bench_backends as bench
 from repro.experiments.harness import ExperimentScale
-bench.time = types.SimpleNamespace(perf_counter=time.process_time)
+marks = []
+def mark():
+    marks.append((time.process_time(), time.perf_counter()))
+    return marks[-1][1]
+bench.time = types.SimpleNamespace(perf_counter=mark)
 scale = ExperimentScale.from_env("REPRO_BENCH_SCALE")
 bench.run_backend("flit", scale)
 gc.collect()
-print(json.dumps(bench.run_backend("flit", scale)))
+entry = bench.run_backend("flit", scale)
+(cpu0, wall0), (cpu1, wall1) = marks[-2:]
+entry.update(cpu_s=cpu1 - cpu0, wall_s=wall1 - wall0)
+print(json.dumps(entry))
 """
-
-
-def run_flit(engine: str, scale: ExperimentScale) -> dict:
-    """Run the flit scenario once under one engine kind.
-
-    Returns the measured region's process CPU time plus the run digest,
-    which covers everything observable from the outside: event count,
-    simulated cycles, the per-iteration timeline, both endpoint NIC counter
-    blocks and the selector's decision tallies.  Two engines that execute
-    the same events in the same order produce identical digests.
-    """
-    network = build_network_model(
-        scale.simulation_config().with_backend("flit"),
-        sim=ENGINES[engine](),
-    )
-    allocation = [0, network.num_nodes - 1]
-    noise = BackgroundTraffic.for_level(
-        network, allocation, NoiseLevel.MODERATE, name="bench-noise"
-    )
-    if noise is not None:
-        noise.start()
-    # Same job name under every engine: the name seeds the job's random
-    # streams, so it must be identical for runs to be comparable.
-    job = MpiJob(network, allocation, name="bench-flit")
-    workload = PingPongBenchmark(
-        size_bytes=scale.scaled_size(16 * 1024),
-        iterations=scale.pingpong_repetitions,
-        warmup=1,
-    )
-    gc.collect()  # earlier runs' garbage must not be collected on our clock
-    start = time.process_time()
-    result = workload.run(job)
-    if noise is not None:
-        noise.stop()
-    cpu_s = time.process_time() - start
-    selector = network.selector
-    observable = {
-        "events": network.sim.events_executed,
-        "simulated_cycles": network.sim.now,
-        "iteration_times": list(result.iteration_times),
-        "counters": [
-            dataclasses.asdict(network.nic(node).counters.snapshot())
-            for node in allocation
-        ],
-        "decisions": [
-            selector.decisions,
-            selector.minimal_decisions,
-            selector.nonminimal_decisions,
-        ],
-    }
-    digest = hashlib.sha256(
-        json.dumps(observable, sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "cpu_s": cpu_s,
-        "events": observable["events"],
-        "simulated_cycles": observable["simulated_cycles"],
-        "median_iteration_cycles": result.median_time(),
-        "digest": digest,
-    }
 
 
 def extract_seed(tmp: str) -> pathlib.Path | None:
@@ -198,7 +138,7 @@ def extract_seed(tmp: str) -> pathlib.Path | None:
     return pathlib.Path(tmp)
 
 
-def run_seed(root: pathlib.Path, scale: ExperimentScale) -> dict:
+def run_seed(root: pathlib.Path, scale: ExperimentScale, region: Region) -> dict:
     """One warmed run of the scenario in a fresh seed-tree interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
@@ -216,23 +156,18 @@ def run_seed(root: pathlib.Path, scale: ExperimentScale) -> dict:
             f"scenario:\n{run.stderr}"
         )
     entry = json.loads(run.stdout.strip().splitlines()[-1])
-    entry["cpu_s"] = entry.pop("wall_s")  # measured on the swapped-in CPU clock
+    region.report(entry["cpu_s"], entry["wall_s"])
     return entry
 
 
-def _summary(runs: list) -> dict:
-    """Min-of-N CPU summary of one contender's runs, with its spread."""
-    samples = [r["cpu_s"] for r in runs]
-    best = min(samples)
-    events = runs[0]["events"]
+def _summary(runs) -> dict:
+    """One contender's timing stats plus its first run's observables."""
+    first = runs.results[0]
     return {
-        "cpu_s": round(best, 4),
-        "cpu_median_s": round(statistics.median(samples), 4),
-        "cpu_runs_s": [round(v, 4) for v in samples],
-        "spread_pct": round((max(samples) / best - 1.0) * 100.0, 1),
-        "events": events,
-        "events_per_sec": round(events / max(1e-9, best), 1),
-        "median_iteration_cycles": runs[0]["median_iteration_cycles"],
+        "events": first["events"],
+        "events_per_sec": round(first["events"] / max(1e-9, runs.cpu.min), 1),
+        "median_iteration_cycles": first["median_iteration_cycles"],
+        **runs.to_json(),
     }
 
 
@@ -241,60 +176,50 @@ def measure_flit_engine(scale: ExperimentScale, with_seed: bool = True) -> dict:
     with tempfile.TemporaryDirectory(prefix="seed-flit-") as tmp:
         seed_root = extract_seed(tmp) if with_seed else None
         contenders = {
-            engine: (lambda engine=engine: run_flit(engine, scale))
-            for engine in ENGINES
+            engine: (
+                lambda region, sim=sim: run_backend("flit", scale, region, sim=sim())
+            )
+            for engine, sim in ENGINES.items()
         }
         if seed_root is not None:
-            # Each seed run warms itself in its own interpreter.
-            contenders["seed"] = lambda: run_seed(seed_root, scale)
-        for engine in ENGINES:
-            run_flit(engine, scale)  # warm caches/imports outside the timing
-        runs = {name: [] for name in contenders}
-        order = list(contenders)
-        for round_no in range(REPEATS):
-            for name in order if round_no % 2 == 0 else reversed(order):
-                runs[name].append(contenders[name]())
+            contenders["seed"] = functools.partial(run_seed, seed_root, scale)
+        timed = interleave(contenders, REPEATS)
 
     series = [
         {
             "engine": engine,
-            **_summary(runs[engine]),
-            "simulated_cycles": runs[engine][0]["simulated_cycles"],
-            "digest": runs[engine][0]["digest"],
+            **_summary(timed[engine]),
+            "simulated_cycles": timed[engine].results[0]["simulated_cycles"],
+            "digest": timed[engine].results[0]["digest"],
         }
         for engine in ENGINES
     ]
-    by_engine = {entry["engine"]: entry for entry in series}
-    calendar = by_engine["calendar"]
+    calendar_cpu = timed["calendar"].cpu.min
     # Every timed run, not just one per engine, must replay the same events.
-    digests = {r["digest"] for engine in ENGINES for r in runs[engine]}
+    digests = {run["digest"] for engine in ENGINES for run in timed[engine].results}
     payload = {
         "benchmark": "flit_engine",
         "scale": scale.name,
         "scenario": "noisy inter-group 16 KiB ping-pong (flit backend)",
-        "timing": (
-            f"process CPU s of the measured region, min of {REPEATS} "
-            "interleaved order-alternating warm runs"
-        ),
         "repeats": REPEATS,
         "engines_agree": len(digests) == 1,
-        "run_digest": calendar["digest"],
+        "run_digest": series[0]["digest"],
         "calendar_speedup_vs_reference": round(
-            by_engine["reference"]["cpu_s"] / max(1e-9, calendar["cpu_s"]), 3
+            timed["reference"].cpu.min / max(1e-9, calendar_cpu), 3
         ),
         "series": series,
         "seed": None,
         "speedup_vs_seed": None,
         "event_reduction_vs_seed": None,
     }
-    if "seed" in runs:
-        seed = {"rev": SEED_REV, **_summary(runs["seed"])}
+    if "seed" in timed:
+        seed = {"rev": SEED_REV, **_summary(timed["seed"])}
         payload["seed"] = seed
         payload["speedup_vs_seed"] = round(
-            seed["cpu_s"] / max(1e-9, calendar["cpu_s"]), 3
+            timed["seed"].cpu.min / max(1e-9, calendar_cpu), 3
         )
         payload["event_reduction_vs_seed"] = round(
-            seed["events"] / max(1, calendar["events"]), 3
+            seed["events"] / max(1, series[0]["events"]), 3
         )
     return payload
 
@@ -323,11 +248,9 @@ def check_bars(payload: dict) -> None:
         )
 
 
-def _write_json(payload: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / "BENCH_flit_engine.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+def _cpu(entry: dict) -> str:
+    cpu = entry["cpu_s"]
+    return f"{cpu['min']:8.3f} s CPU (quartiles {cpu['q1']:.3f}-{cpu['q3']:.3f})"
 
 
 def _render(payload: dict) -> str:
@@ -337,8 +260,7 @@ def _render(payload: dict) -> str:
     ]
     for entry in payload["series"]:
         lines.append(
-            f"  {entry['engine']:9s}: {entry['cpu_s']:8.3f} s CPU "
-            f"(spread {entry['spread_pct']:4.1f}%), "
+            f"  {entry['engine']:9s}: {_cpu(entry)}, "
             f"{entry['events']:8d} events ({entry['events_per_sec']:>12.1f} ev/s)"
         )
     agree = "identical" if payload["engines_agree"] else "DIVERGED"
@@ -350,8 +272,8 @@ def _render(payload: dict) -> str:
     seed = payload["seed"]
     if seed is not None:
         lines.append(
-            f"  seed tree ({seed['rev'][:7]}): {seed['cpu_s']:.3f} s CPU "
-            f"(spread {seed['spread_pct']:.1f}%), {seed['events']} events"
+            f"  seed tree ({seed['rev'][:7]}): {_cpu(seed)}, "
+            f"{seed['events']} events"
         )
         lines.append(
             f"  calendar speedup vs seed: {payload['speedup_vs_seed']:.2f}x CPU, "
@@ -367,7 +289,7 @@ def test_flit_engine(benchmark, scale, results_dir):
     payload = benchmark.pedantic(
         measure_flit_engine, args=(scale,), rounds=1, iterations=1
     )
-    _write_json(payload, results_dir)
+    write_result("flit_engine", payload)
     emit(results_dir, "flit_engine", _render(payload))
     check_bars(payload)
 
@@ -389,7 +311,7 @@ if __name__ == "__main__":
         ExperimentScale.smoke() if args.smoke else ExperimentScale.from_env()
     )
     result = measure_flit_engine(bench_scale, with_seed=not args.no_seed)
-    path = _write_json(result, RESULTS_DIR)
+    path = write_result("flit_engine", result)
     print(_render(result))
     print(f"wrote {path}")
     check_bars(result)

@@ -9,8 +9,11 @@ capacities and a mix of finite/infinite flow caps.  Each size measures
 * **incremental churn** — remove one flow, add one flow, re-solve — which
   is what every message arrival/completion costs during a simulation.
 
-A JSON artifact with the series is written to
-``benchmarks/results/BENCH_flow_solver.json``::
+Each (engine, measurement) pair is one contender of the shared protocol in
+``benchmarks/timing.py`` (``REPEATS`` interleaved warm rounds, min of
+process CPU, quartiles recorded); it loads a fresh engine untimed and times
+only the solve or the churn steps.  A JSON artifact with the series is
+written to ``benchmarks/results/BENCH_flow_solver.json``::
 
     python -m pytest benchmarks/bench_flow_solver.py -q -s
     python benchmarks/bench_flow_solver.py            # standalone, same JSON
@@ -24,16 +27,17 @@ pure-Python solve at 100k flows takes minutes and proves nothing new).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import pathlib
 import random
 import sys
-import time
 
 if __package__ in (None, ""):  # `python benchmarks/bench_flow_solver.py`
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import emit
+from benchmarks.timing import Region, interleave, write_result
 from repro.model.flow.engine import ReferenceFairShareEngine
 from repro.model.flow.solver import FlowState
 from repro.model.flow.vectorized import VectorizedFairShareEngine
@@ -54,6 +58,9 @@ REFERENCE_MAX_FLOWS = 10_000
 #: Incremental churn steps timed per engine.
 CHURN_STEPS = 50
 REFERENCE_CHURN_STEPS = 5
+
+#: Interleaved timing rounds; every contender's time is its minimum.
+REPEATS = 5
 
 #: Acceptance bars asserted by the pytest wrapper (and CI).
 MIN_SPEEDUP_AT_10K = 10.0
@@ -83,18 +90,34 @@ def build_workload(n_flows: int, seed: int = SEED):
     return capacities, specs, clusters
 
 
-def _flows(specs):
-    return [FlowState(fid, links, 100.0, cap=cap) for fid, links, cap in specs]
+def _loaded_engine(kind: str, capacities, specs):
+    """A fresh engine holding every flow of the instance, not yet solved."""
+    engine = ENGINES[kind](capacities.__getitem__)
+    live = {}
+    for fid, links, cap in specs:
+        live[fid] = FlowState(fid, links, 100.0, cap=cap)
+        engine.add_flow(live[fid])
+    return engine, live
 
 
-def _churn(engine, live, specs, steps: int, seed: int) -> float:
-    """Remove/add/solve ``steps`` times; returns seconds per step.
+def run_full(kind: str, capacities, specs, region: Region) -> dict:
+    """Time one full solve from scratch; returns the engine's stats."""
+    engine, _live = _loaded_engine(kind, capacities, specs)
+    with region:
+        engine.solve()
+    return dict(engine.stats)
 
-    Victim picks and replacement flows are precomputed so the timed window
+
+def run_churn(kind: str, capacities, specs, steps: int, region: Region) -> dict:
+    """Time ``steps`` remove/add/solve rounds after a full solve.
+
+    Victim picks and replacement flows are precomputed so the timed region
     contains only engine work — sorting 100k flow ids per step would
     otherwise dominate the measurement and mask solver regressions.
     """
-    rng = random.Random(seed)
+    engine, live = _loaded_engine(kind, capacities, specs)
+    engine.solve()
+    rng = random.Random(SEED + 1)
     next_id = len(specs)
     ordered = sorted(live)
     operations = []
@@ -105,70 +128,63 @@ def _churn(engine, live, specs, steps: int, seed: int) -> float:
         ordered.append(next_id)
         live[next_id] = operations[-1][1]
         next_id += 1
-    start = time.perf_counter()
-    for victim, replacement in operations:
-        engine.remove_flow(victim)
-        engine.add_flow(replacement)
-        engine.solve()
-    return (time.perf_counter() - start) / steps
+    with region:
+        for victim, replacement in operations:
+            engine.remove_flow(victim)
+            engine.add_flow(replacement)
+            engine.solve()
+    return dict(engine.stats)
 
 
-def run_engine(kind: str, n_flows: int, churn_steps: int) -> dict:
-    """Time one engine on one size; returns the series sub-entry."""
-    capacities, specs, _clusters = build_workload(n_flows)
-    engine = ENGINES[kind](capacities.__getitem__)
-    live = {}
-    start = time.perf_counter()
-    for flow in _flows(specs):
-        engine.add_flow(flow)
-        live[flow.flow_id] = flow
-    add_s = time.perf_counter() - start
-    start = time.perf_counter()
-    engine.solve()
-    full_s = time.perf_counter() - start
-    step_s = _churn(engine, live, specs, churn_steps, seed=SEED + 1)
-    return {
-        "engine": kind,
-        "add_s": round(add_s, 4),
-        "full_solve_s": round(full_s, 4),
-        "full_solves_per_sec": round(1.0 / max(1e-9, full_s), 2),
-        "incremental_step_ms": round(step_s * 1e3, 3),
-        "incremental_solves_per_sec": round(1.0 / max(1e-9, step_s), 1),
-        "churn_steps": churn_steps,
-        "stats": dict(engine.stats),
-    }
+def measure_size(n_flows: int) -> dict:
+    """Time both engines (reference up to its cap) on one size."""
+    capacities, specs, clusters = build_workload(n_flows)
+    steps = {"vectorized": CHURN_STEPS}
+    if n_flows <= REFERENCE_MAX_FLOWS:
+        steps["reference"] = REFERENCE_CHURN_STEPS
+    contenders = {}
+    for kind, churn_steps in steps.items():
+        contenders[f"{kind}/full"] = functools.partial(
+            run_full, kind, capacities, specs
+        )
+        contenders[f"{kind}/churn"] = functools.partial(
+            run_churn, kind, capacities, specs, churn_steps
+        )
+    timed = interleave(contenders, REPEATS)
+    entry = {"flows": n_flows, "clusters": clusters}
+    for kind, churn_steps in steps.items():
+        full, churn = timed[f"{kind}/full"], timed[f"{kind}/churn"]
+        step_s = churn.cpu.min / churn_steps
+        entry[kind] = {
+            "engine": kind,
+            "full_solve_s": round(full.cpu.min, 6),
+            "full_solves_per_sec": round(1.0 / max(1e-9, full.cpu.min), 2),
+            "incremental_step_ms": round(step_s * 1e3, 3),
+            "incremental_solves_per_sec": round(1.0 / max(1e-9, step_s), 1),
+            "churn_steps": churn_steps,
+            "full_solve": full.to_json(),
+            "churn": churn.to_json(),
+            "stats": churn.results[0],
+        }
+    if "reference" in entry:
+        ref, vec = timed["reference/full"], timed["vectorized/full"]
+        entry["speedup_full"] = round(ref.cpu.min / max(1e-9, vec.cpu.min), 2)
+        entry["speedup_incremental"] = round(
+            entry["reference"]["incremental_step_ms"]
+            / max(1e-9, entry["vectorized"]["incremental_step_ms"]),
+            2,
+        )
+    else:
+        entry["reference"] = None
+        entry["reference_skipped"] = (
+            f"reference solver not timed above {REFERENCE_MAX_FLOWS} flows"
+        )
+    return entry
 
 
 def measure_sizes(sizes) -> dict:
     """Run both engines across the sizes; returns the JSON payload."""
-    series = []
-    for n_flows in sizes:
-        _capacities, _specs, clusters = build_workload(n_flows)
-        entry = {
-            "flows": n_flows,
-            "clusters": clusters,
-            "vectorized": run_engine("vectorized", n_flows, CHURN_STEPS),
-        }
-        if n_flows <= REFERENCE_MAX_FLOWS:
-            entry["reference"] = run_engine(
-                "reference", n_flows, REFERENCE_CHURN_STEPS
-            )
-            entry["speedup_full"] = round(
-                entry["reference"]["full_solve_s"]
-                / max(1e-9, entry["vectorized"]["full_solve_s"]),
-                2,
-            )
-            entry["speedup_incremental"] = round(
-                entry["reference"]["incremental_step_ms"]
-                / max(1e-9, entry["vectorized"]["incremental_step_ms"]),
-                2,
-            )
-        else:
-            entry["reference"] = None
-            entry["reference_skipped"] = (
-                f"reference solver not timed above {REFERENCE_MAX_FLOWS} flows"
-            )
-        series.append(entry)
+    series = [measure_size(n_flows) for n_flows in sizes]
     compared = [e for e in series if e.get("reference")]
     return {
         "benchmark": "flow_solver",
@@ -177,19 +193,13 @@ def measure_sizes(sizes) -> dict:
             "3-8 links/flow, heterogeneous capacities)"
         ),
         "sizes": list(sizes),
+        "repeats": REPEATS,
         "max_speedup_full": max((e["speedup_full"] for e in compared), default=None),
         "max_speedup_incremental": max(
             (e["speedup_incremental"] for e in compared), default=None
         ),
         "series": series,
     }
-
-
-def _write_json(payload: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / "BENCH_flow_solver.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def _render(payload: dict) -> str:
@@ -234,7 +244,7 @@ def test_flow_solver_throughput(benchmark, scale, results_dir):
     """Reference vs vectorized at increasing flow counts; JSON emitted."""
     sizes = SMOKE_SIZES if scale.name == "smoke" else SIZES
     payload = benchmark.pedantic(measure_sizes, args=(sizes,), rounds=1, iterations=1)
-    _write_json(payload, results_dir)
+    write_result("flow_solver", payload)
     emit(results_dir, "flow_solver", _render(payload))
     _assert_bars(payload)
 
@@ -248,7 +258,7 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     payload = measure_sizes(SMOKE_SIZES if args.smoke else SIZES)
-    path = _write_json(payload, RESULTS_DIR)
+    path = write_result("flow_solver", payload)
     print(_render(payload))
     _assert_bars(payload)
     print(f"wrote {path}")

@@ -7,23 +7,25 @@ ping-pong grid (link samplers plus the UGAL decision audit at the default
 interval and decision rate).  Each plane's enabled run must stay within 5%
 of the same grid with instrumentation off.
 
-Measuring a few percent on a shared machine needs care, so the protocol is
-deliberately defensive: CPU time (``time.process_time``) instead of wall
-clock, interleaved runs whose mode order flips every pair (so
-thermal/frequency drift cannot systematically land on one mode), the
-minimum over all runs per mode (the least-disturbed sample), and up to
-three measurement attempts — ambient noise can only spuriously *inflate*
-the estimate, so retrying a failed attempt is sound while a genuine
-regression keeps failing.
+Measuring a few percent on a shared machine needs care.  Every cell of a
+grid is two contenders of the shared protocol in ``benchmarks/timing.py``
+(plane off, plane on), so a sample is one ``run_cell`` call: interleaved
+order-flipping warm rounds, process CPU of the measured region only, and
+the minimum per contender.  A mode's grid time is the sum of its cells'
+minima, so a disturbance has to hit the same cell in every round, not just
+one whole-grid run, to inflate it.  Up to three measurement attempts run —
+ambient noise can only spuriously *inflate* the estimate, so retrying a
+failed attempt is sound while a genuine regression keeps failing.
 
 The disabled fast path is bounded too.  With a plane off its only cost is
 one check per hot-path entry: ``TELEMETRY.enabled`` per would-be span, and
 for probes ``probe_hook is not None`` per executed event in the sim
 engines plus ``TELEMETRY.recorder is not None`` per adaptive routing
-decision.  The bench microbenchmarks that guard, counts how many times one
-grid hits it (span counts, executed events and decisions seen, all read
-from one instrumented cell), and asserts the implied disabled-mode overhead
-is under 1% of the baseline.  A JSON artifact goes to
+decision.  The bench microbenchmarks that guard in the same interleaved
+rounds as the grid, counts how many times one grid hits it (span counts,
+executed events and decisions seen, all read from one instrumented cell),
+and asserts the implied disabled-mode overhead is under 1% of the
+baseline.  A JSON artifact goes to
 ``benchmarks/results/BENCH_instrument_overhead.json``::
 
     python benchmarks/bench_instrument_overhead.py            # 8 + 4 cells
@@ -32,22 +34,23 @@ is under 1% of the baseline.  A JSON artifact goes to
 
 from __future__ import annotations
 
-import json
+import functools
 import pathlib
 import sys
-import time
 
 if __package__ in (None, ""):  # `python benchmarks/bench_instrument_overhead.py`
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import emit
+from benchmarks.timing import Region, interleave, write_result
 from repro.campaign import CampaignPlan, RunSpec, ensure_builtin_scenarios, run_cell
 from repro.telemetry import TELEMETRY, disable, enable
 from repro.telemetry.probes import DECISION_RATE, INTERVAL
 
 ENABLED_CEILING_PCT = 5.0
 DISABLED_CEILING_PCT = 1.0
-REPEATS = 8
+REPEATS = 16
 ATTEMPTS = 3
 GUARD_ITERS = 200_000
 
@@ -74,27 +77,21 @@ def _bench_plan(plane: str, cells: int) -> CampaignPlan:
     return CampaignPlan(name=f"bench-{plane}", specs=specs)
 
 
-def _run_grid(plan: CampaignPlan) -> float:
-    """Execute every cell serially in-process; returns CPU seconds."""
-    start = time.process_time()
-    for spec in plan.specs:
-        record = run_cell(spec)
-        assert record.ok, record.error
-    return time.process_time() - start
-
-
-def _run_mode(plan: CampaignPlan, plane: str, on: bool) -> float:
+def _run_mode(spec: RunSpec, plane: str, on: bool, region: Region) -> None:
+    """Run one cell with ``plane`` on or off, timing only ``run_cell``."""
     disable("spans,probes")
     if on:
         enable(plane)
     try:
-        return _run_grid(plan)
+        with region:
+            record = run_cell(spec)
     finally:
         disable("spans,probes")
+    assert record.ok, record.error
 
 
-def _guard_ns() -> float:
-    """Cost of one disabled-path guard per hit.
+def _guard_loop(region: Region) -> None:
+    """The disabled-path guard, ``GUARD_ITERS`` times.
 
     The loop runs the two guard shapes the probes hot paths use — the
     engines' ``hook is not None`` and the router's recorder check — back to
@@ -103,13 +100,12 @@ def _guard_ns() -> float:
     direction for the <1% disabled bound.
     """
     hook = None
-    start = time.perf_counter()
-    for _ in range(GUARD_ITERS):
-        if hook is not None:
-            raise AssertionError("unreachable")
-        if TELEMETRY.recorder is not None:
-            raise AssertionError("probes must be off for the guard bench")
-    return (time.perf_counter() - start) / GUARD_ITERS * 1e9
+    with region:
+        for _ in range(GUARD_ITERS):
+            if hook is not None:
+                raise AssertionError("unreachable")
+            if TELEMETRY.recorder is not None:
+                raise AssertionError("probes must be off for the guard bench")
 
 
 def _guard_checks_per_run(plan: CampaignPlan, plane: str) -> int:
@@ -138,19 +134,24 @@ def _guard_checks_per_run(plan: CampaignPlan, plane: str) -> int:
 
 
 def _measure_once(plan: CampaignPlan, plane: str, repeats: int) -> dict:
-    """One attempt: interleaved order-flipping pairs, minimum per mode."""
-    disabled_runs, enabled_runs = [], []
-    for pair in range(repeats):
-        first_on = pair % 2 == 1
-        for on in (first_on, not first_on):
-            (enabled_runs if on else disabled_runs).append(
-                _run_mode(plan, plane, on)
+    """One attempt: every cell off and on, interleaved; sums of cell minima.
+
+    The guard loop runs in the same rounds, so its cost and the baseline
+    it is compared with are measured under the same machine load.
+    """
+    contenders = {"guard": _guard_loop}
+    for cell, spec in enumerate(plan.specs):
+        for mode, on in (("off", False), ("on", True)):
+            contenders[f"cell{cell}/{mode}"] = functools.partial(
+                _run_mode, spec, plane, on
             )
-    baseline = min(disabled_runs)
-    enabled = min(enabled_runs)
+    timed = interleave(contenders, repeats)
+    guard = timed.pop("guard")
+    baseline = sum(runs.cpu.min for name, runs in timed.items() if name.endswith("off"))
+    enabled = sum(runs.cpu.min for name, runs in timed.items() if name.endswith("on"))
     return {
-        "disabled_s": [round(v, 4) for v in disabled_runs],
-        "enabled_s": [round(v, 4) for v in enabled_runs],
+        "cells_cpu_s": {name: runs.cpu.to_json() for name, runs in timed.items()},
+        "guard_ns_per_check": round(guard.cpu.min * 1e9 / GUARD_ITERS, 2),
         "baseline_s": round(baseline, 4),
         "instrumented_s": round(enabled, 4),
         "enabled_overhead_pct": round((enabled / baseline - 1.0) * 100.0, 3),
@@ -158,13 +159,10 @@ def _measure_once(plan: CampaignPlan, plane: str, repeats: int) -> dict:
 
 
 def measure_plane(
-    plane: str, cells: int, guard_ns: float,
-    repeats: int = REPEATS, attempts: int = ATTEMPTS,
+    plane: str, cells: int, repeats: int = REPEATS, attempts: int = ATTEMPTS,
 ) -> dict:
     """Time one plane's grid off and on; returns that plane's JSON entry."""
     plan = _bench_plan(plane, cells)
-    _run_grid(plan)  # warm caches/imports outside both measured modes
-
     trials = []
     for _ in range(attempts):
         trials.append(_measure_once(plan, plane, repeats))
@@ -173,7 +171,9 @@ def measure_plane(
     best = min(trials, key=lambda t: t["enabled_overhead_pct"])
 
     guard_checks = _guard_checks_per_run(plan, plane)
-    disabled_pct = guard_checks * guard_ns / (best["baseline_s"] * 1e9) * 100.0
+    disabled_pct = (
+        guard_checks * best["guard_ns_per_check"] / (best["baseline_s"] * 1e9) * 100.0
+    )
     entry = {
         "backend": GRIDS[plane][0],
         "grid_cells": len(plan),
@@ -189,9 +189,8 @@ def measure_plane(
 def measure_overhead(smoke: bool, repeats: int = REPEATS) -> dict:
     """Measure every plane; returns the JSON payload."""
     disable("spans,probes")
-    guard_ns = _guard_ns()
     planes = {
-        plane: measure_plane(plane, grid[3] if smoke else grid[2], guard_ns, repeats)
+        plane: measure_plane(plane, grid[3] if smoke else grid[2], repeats)
         for plane, grid in GRIDS.items()
     }
     return {
@@ -201,7 +200,6 @@ def measure_overhead(smoke: bool, repeats: int = REPEATS) -> dict:
         "decision_rate": DECISION_RATE,
         "enabled_ceiling_pct": ENABLED_CEILING_PCT,
         "disabled_ceiling_pct": DISABLED_CEILING_PCT,
-        "guard_ns_per_check": round(guard_ns, 2),
         "planes": planes,
     }
 
@@ -220,18 +218,11 @@ def check_overhead(payload: dict) -> None:
         )
 
 
-def _write_json(payload: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / "BENCH_instrument_overhead.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
 def _render(payload: dict) -> str:
     lines = [
-        f"instrumentation overhead (min of {payload['repeats']} interleaved "
-        f"runs; probes at interval {payload['interval']}, decision "
-        f"rate {payload['decision_rate']})"
+        f"instrumentation overhead (sum of per-cell minima over "
+        f"{payload['repeats']} interleaved runs; probes at interval "
+        f"{payload['interval']}, decision rate {payload['decision_rate']})"
     ]
     for plane, entry in payload["planes"].items():
         lines += [
@@ -241,7 +232,7 @@ def _render(payload: dict) -> str:
             f"    on:  {entry['instrumented_s']:.3f} s CPU "
             f"({entry['enabled_overhead_pct']:+.2f}%, "
             f"ceiling {payload['enabled_ceiling_pct']:.0f}%)",
-            f"    disabled guard: {payload['guard_ns_per_check']:.0f} ns/check x "
+            f"    disabled guard: {entry['guard_ns_per_check']:.0f} ns/check x "
             f"{entry['guard_checks_per_run']} checks = "
             f"{entry['disabled_overhead_pct']:.4f}% "
             f"(ceiling {payload['disabled_ceiling_pct']:.0f}%)",
@@ -252,14 +243,14 @@ def _render(payload: dict) -> str:
 def test_instrument_overhead(benchmark, results_dir):
     """Per-plane on-vs-off grids; BENCH JSON emitted, 5%/1% bars asserted."""
     payload = benchmark.pedantic(measure_overhead, args=(True,), rounds=1, iterations=1)
-    _write_json(payload, results_dir)
+    write_result("instrument_overhead", payload)
     emit(results_dir, "instrument_overhead", _render(payload))
     check_overhead(payload)
 
 
 if __name__ == "__main__":
     payload = measure_overhead(smoke="--smoke" in sys.argv[1:])
-    path = _write_json(payload, RESULTS_DIR)
+    path = write_result("instrument_overhead", payload)
     print(_render(payload))
     print(f"wrote {path}")
     check_overhead(payload)

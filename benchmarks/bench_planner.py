@@ -8,8 +8,10 @@ benchmark measures what that costs on a synthetic three-axis grid:
 * ``auto`` — cost estimation + fidelity routing for every cell;
 * ``auto+budget`` — the same plus the greedy budget-demotion pass.
 
-A JSON artifact with the series is written to
-``benchmarks/results/BENCH_planner.json``::
+The three modes are contenders of the shared protocol in
+``benchmarks/timing.py`` (``REPEATS`` interleaved warm rounds, min of
+process CPU, quartiles recorded).  A JSON artifact with the series is
+written to ``benchmarks/results/BENCH_planner.json``::
 
     python -m pytest benchmarks/bench_planner.py -q -s
     python benchmarks/bench_planner.py            # standalone, same JSON
@@ -23,17 +25,21 @@ stay effectively free next to any real campaign execution.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import pathlib
 import sys
-import time
 
 if __package__ in (None, ""):  # `python benchmarks/bench_planner.py`
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import emit
+from benchmarks.timing import Region, interleave, write_result
 from repro.campaign import BackendRouter, plan_campaign
 from repro.campaign.registry import Scenario, ScenarioError, register
+
+#: Interleaved timing rounds; every mode's time is its minimum.
+REPEATS = 5
 
 #: Acceptance bar: routed planning throughput, in cells per second.
 MIN_CELLS_PER_SEC = 500.0
@@ -74,63 +80,65 @@ def ensure_scenario(axis_cells: int) -> str:
     return name
 
 
-def _timed_plan(name: str, **kwargs):
-    start = time.perf_counter()
-    plan = plan_campaign([name], **kwargs)
-    return plan, time.perf_counter() - start
+def _timed_plan(name: str, kwargs: dict, region: Region):
+    with region:
+        return plan_campaign([name], **kwargs)
 
 
 def measure_planner(axis_cells: int) -> dict:
     """Plan the grid blind, auto, and auto-under-budget; return the payload."""
     name = ensure_scenario(axis_cells)
-    blind_plan, blind_s = _timed_plan(name)
-    cells = len(blind_plan)
-
-    auto_plan, auto_s = _timed_plan(name, backend="auto")
+    auto_plan = plan_campaign([name], backend="auto")
     flit_total = sum(cell.estimates["flit"].work for cell in auto_plan.costs)
     flow_total = sum(cell.estimates["flow"].work for cell in auto_plan.costs)
     budget = (flit_total + flow_total) / 2.0  # forces a real demotion pass
-    budget_plan, budget_s = _timed_plan(
-        name, backend="auto", router=BackendRouter(budget=budget)
+    modes = {
+        "blind": {},
+        "auto": {"backend": "auto"},
+        "auto+budget": {"backend": "auto", "router": BackendRouter(budget=budget)},
+    }
+    timed = interleave(
+        {mode: functools.partial(_timed_plan, name, kw) for mode, kw in modes.items()},
+        REPEATS,
     )
-    demoted = sum(1 for cell in budget_plan.costs if cell.reason == "budget")
-
+    cells = len(timed["blind"].results[0])
     series = [
-        {"mode": "blind", "wall_s": round(blind_s, 4),
-         "cells_per_sec": round(cells / max(1e-9, blind_s), 1)},
-        {"mode": "auto", "wall_s": round(auto_s, 4),
-         "cells_per_sec": round(cells / max(1e-9, auto_s), 1)},
-        {"mode": "auto+budget", "wall_s": round(budget_s, 4),
-         "cells_per_sec": round(cells / max(1e-9, budget_s), 1),
-         "demoted_cells": demoted},
+        {
+            "mode": mode,
+            "cells_per_sec": round(cells / max(1e-9, runs.cpu.min), 1),
+            **runs.to_json(),
+        }
+        for mode, runs in timed.items()
     ]
+    series[2]["demoted_cells"] = sum(
+        1 for cell in timed["auto+budget"].results[0].costs if cell.reason == "budget"
+    )
     return {
         "benchmark": "planner",
         "cells": cells,
+        "repeats": REPEATS,
         "flit_total_work": round(flit_total, 1),
         "flow_total_work": round(flow_total, 1),
         "budget": round(budget, 1),
-        "auto_overhead_vs_blind": round(auto_s / max(1e-9, blind_s), 2),
+        "auto_overhead_vs_blind": round(
+            timed["auto"].cpu.min / max(1e-9, timed["blind"].cpu.min), 2
+        ),
         "routed_cells_per_sec": series[2]["cells_per_sec"],
         "series": series,
     }
 
 
-def _write_json(payload: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / "BENCH_planner.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
 def _render(payload: dict) -> str:
-    lines = [f"planner throughput — {payload['cells']} cell grid"]
+    lines = [
+        f"planner throughput — {payload['cells']} cell grid "
+        f"(min of {payload['repeats']} interleaved runs, process CPU)"
+    ]
     for entry in payload["series"]:
         extra = (
             f", {entry['demoted_cells']} demoted" if "demoted_cells" in entry else ""
         )
         lines.append(
-            f"  {entry['mode']:12s}: {entry['wall_s']:8.4f} s "
+            f"  {entry['mode']:12s}: {entry['cpu_s']['min']:8.4f} s CPU "
             f"({entry['cells_per_sec']:>10.1f} cells/s{extra})"
         )
     lines.append(
@@ -152,7 +160,7 @@ def test_planner_throughput(benchmark, results_dir):
     payload = benchmark.pedantic(
         measure_planner, args=(16,), rounds=1, iterations=1
     )
-    _write_json(payload, results_dir)
+    write_result("planner", payload)
     emit(results_dir, "planner", _render(payload))
     _assert_bars(payload)
 
@@ -164,7 +172,7 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     result = measure_planner(8 if args.smoke else 16)
-    path = _write_json(result, RESULTS_DIR)
+    path = write_result("planner", result)
     print(_render(result))
     print(f"wrote {path}")
     _assert_bars(result)

@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper and prints the
-corresponding rows/series, so running ``pytest benchmarks/ --benchmark-only``
+corresponding rows/series, so running ``pytest benchmarks/bench_*.py``
 produces both timing information (via pytest-benchmark) and the reproduced
 results themselves (via stdout, use ``-s`` to see them live; they are also
 written to ``benchmarks/results/``).
@@ -13,14 +13,12 @@ variable: ``smoke`` (default; minutes → seconds, for CI) or ``paper``
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
+from benchmarks.timing import RESULTS_DIR
 from repro.experiments.harness import ExperimentScale
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ Covers the multi-tenant subsystem end to end: trace generation and SWF
 parsing are pure functions of their inputs; the scheduler never
 double-allocates nodes, queues when the machine is full, re-admits at the
 completion cycle, and replays deterministically; slowdown/stretch come
-from memoized isolated baselines; per-job rows fold into the
+from isolated baselines; per-job rows fold into the
 interference matrix; `cluster.job` spans and job-count gauges land in
 telemetry snapshots.
 """
